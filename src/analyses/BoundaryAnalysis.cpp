@@ -64,6 +64,7 @@ core::ReductionResult
 BoundaryAnalysis::findOne(opt::Optimizer &Backend,
                           const core::ReductionOptions &Opts,
                           opt::SampleRecorder *Recorder) {
+  Factory.beginRun();
   core::SearchEngine Engine(*Factory.Factory, Oracle.get());
   return Engine.solve(Backend, Opts, Recorder);
 }

@@ -39,7 +39,7 @@ public:
   BoundaryAnalysis(
       ir::Module &M, ir::Function &F,
       instr::BoundaryForm Form = instr::BoundaryForm::Product,
-      vm::EngineKind Engine = vm::EngineKind::VM,
+      vm::EngineKind Engine = vm::EngineKind::Tiered,
       const std::function<bool(const instr::Site &)> &SkipSite = nullptr);
   ~BoundaryAnalysis();
 
@@ -66,8 +66,8 @@ public:
   /// The factory the engine mints thread-local evaluators from.
   core::WeakDistanceFactory &factory() { return *Factory.Factory; }
 
-  /// Which execution tier search workers actually run on (and why the
-  /// compiled tier fell back, when it did).
+  /// Which execution tier search workers start on, the tier the last
+  /// findOne reached, and why a tier fell back, when one did.
   const vm::FactoryBundle &executionTier() const { return Factory; }
 
   const exec::Engine &engine() const { return *Eng; }

@@ -75,6 +75,7 @@ CoverageReport BranchCoverage::run(opt::Optimizer &Backend,
                                    const Options &Opts) {
   CoverageReport Report;
   Report.Total = static_cast<unsigned>(Instr.Sites.size());
+  Factory.beginRun();
 
   // Directions proved unreachable never gate the loop and never get
   // search budget; they stay uncovered in the report (truthfully so).

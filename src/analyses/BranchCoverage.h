@@ -53,7 +53,7 @@ public:
   };
 
   BranchCoverage(ir::Module &M, ir::Function &F,
-                 vm::EngineKind Engine = vm::EngineKind::VM);
+                 vm::EngineKind Engine = vm::EngineKind::Tiered);
   ~BranchCoverage();
 
   CoverageReport run(opt::Optimizer &Backend, const Options &Opts);
@@ -61,7 +61,8 @@ public:
   const instr::SiteTable &sites() const { return Instr.Sites; }
   instr::IRWeakDistance &weak() { return *Weak; }
 
-  /// Which execution tier search workers actually run on.
+  /// Which execution tier search workers start on (and the tier the
+  /// last run reached).
   const vm::FactoryBundle &executionTier() const { return Factory; }
 
   /// Directions (site ids) the original program takes on \p X.

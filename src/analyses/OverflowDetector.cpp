@@ -47,6 +47,7 @@ OverflowReport OverflowDetector::run(const Options &Opts) {
   auto Clock0 = std::chrono::steady_clock::now();
   OverflowReport Report;
   Report.NumOps = static_cast<unsigned>(Instr.Sites.size());
+  Factory.beginRun();
 
   RNG Rand(Opts.Seed);
   opt::BasinHopping DefaultBackend;

@@ -101,7 +101,7 @@ public:
   OverflowDetector(ir::Module &M, ir::Function &F,
                    instr::OverflowMetric Metric =
                        instr::OverflowMetric::UlpGap,
-                   vm::EngineKind Engine = vm::EngineKind::VM);
+                   vm::EngineKind Engine = vm::EngineKind::Tiered);
 
   /// Runs Algorithm 3 to completion (one round per site, as the paper's
   /// termination argument requires).
@@ -110,7 +110,8 @@ public:
   const instr::SiteTable &sites() const { return Instr.Sites; }
   instr::IRWeakDistance &weak() { return *Weak; }
 
-  /// Which execution tier each round's search workers run on.
+  /// Which execution tier each round's search workers start on (and the
+  /// tier the last run reached).
   const vm::FactoryBundle &executionTier() const { return Factory; }
 
   /// Replays the original function and reports whether the operation at

@@ -66,6 +66,7 @@ core::ReductionResult
 PathReachability::findOne(opt::Optimizer &Backend,
                           const core::ReductionOptions &Opts,
                           opt::SampleRecorder *Recorder) {
+  Factory.beginRun();
   core::SearchEngine Engine(*Factory.Factory, Oracle.get());
   return Engine.solve(Backend, Opts, Recorder);
 }

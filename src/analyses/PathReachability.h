@@ -30,7 +30,7 @@ class PathReachability {
 public:
   PathReachability(ir::Module &M, ir::Function &F,
                    const instr::PathSpec &Spec,
-                   vm::EngineKind Engine = vm::EngineKind::VM);
+                   vm::EngineKind Engine = vm::EngineKind::Tiered);
   ~PathReachability();
 
   instr::IRWeakDistance &weak() { return *Weak; }
@@ -43,7 +43,8 @@ public:
                                 const core::ReductionOptions &Opts,
                                 opt::SampleRecorder *Recorder = nullptr);
 
-  /// Which execution tier search workers actually run on.
+  /// Which execution tier search workers start on (and the tier the
+  /// last run reached).
   const vm::FactoryBundle &executionTier() const { return Factory; }
 
 private:

@@ -119,7 +119,7 @@ void SearchConfig::applyEnv() {
 }
 
 vm::EngineKind SearchConfig::engineKind() const {
-  vm::EngineKind K = vm::EngineKind::VM;
+  vm::EngineKind K = vm::EngineKind::Tiered;
   if (!Engine.empty())
     vm::engineKindByName(Engine, K); // Validated at parse time.
   return K;

@@ -103,11 +103,13 @@ struct SearchConfig {
   /// (basinhopping only).
   std::vector<std::string> Backends;
   /// Weak-distance execution tier: "interp" | "vm" | "jit". Empty =
-  /// unset, which resolves to the compiled tier ("vm"). "jit" parses on
-  /// every platform; where the native tier is unavailable (or rejects
-  /// the subject) the chain degrades jit -> vm -> interp automatically
-  /// and the Report says so via engine/engine_fallback. Ignored by
-  /// fpsat, whose CNF distance is native code already.
+  /// unset, which resolves to tiered execution: start on the VM and
+  /// move to the JIT once the run is hot (Report.engine names the tier
+  /// the run reached). A pinned "jit" parses on every platform; where
+  /// the native tier is unavailable (or rejects the subject) the chain
+  /// degrades jit -> vm -> interp automatically and the Report says so
+  /// via engine/engine_fallback. Ignored by fpsat, whose CNF distance
+  /// is native code already.
   std::string Engine;
   /// Static pre-pass (src/absint/): "off" | "sites" | "sites+box".
   /// Empty = unset, which resolves to "off". "sites" classifies the
@@ -117,7 +119,7 @@ struct SearchConfig {
   /// only where the eval budget goes.
   std::string Prune;
 
-  /// The resolved execution tier (unset and "vm" both map to VM).
+  /// The resolved execution tier (unset maps to vm::EngineKind::Tiered).
   vm::EngineKind engineKind() const;
 
   /// The resolved pre-pass mode (unset and "off" both map to Off).

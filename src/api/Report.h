@@ -80,11 +80,15 @@ struct Report {
   unsigned StartsUsed = 0;
   unsigned UnsoundCandidates = 0;
   double WStar = 0; ///< Smallest weak distance seen (0 when found).
-  /// Execution tier the weak distance actually ran on: "vm", "interp",
-  /// or "native" (fpsat's CNF distance is compiled into the binary).
+  /// The highest execution tier the weak distance ran on in this run:
+  /// "jit", "vm", "interp", or "native" (fpsat's CNF distance is
+  /// compiled into the binary). With the engine unset this is "jit"
+  /// exactly when the run's counted evaluations passed the promotion
+  /// point (and the JIT took the subject), so it is deterministic.
   std::string Engine;
-  /// Why the compiled tier fell back to the interpreter (empty unless
-  /// engine=vm was requested and the lowering rejected the subject).
+  /// Why a tier rejected the subject and evaluation fell below the
+  /// requested tier (empty otherwise; a tiered run that cannot promote
+  /// is not a fallback).
   std::string EngineFallback;
 
   /// Task-specific aggregate payload, e.g. {"num_ops": 23} for overflow

@@ -15,10 +15,10 @@
 
 namespace wdm::api::tasks {
 
-/// Records which execution tier the analysis actually ran on (and why
-/// the compiled tier fell back, when it did).
+/// Records the highest execution tier the analysis run reached (and why
+/// a tier fell back, when one did).
 inline void fillEngine(Report &Rep, const vm::FactoryBundle &Tier) {
-  Rep.Engine = Tier.effectiveName();
+  Rep.Engine = vm::engineKindName(Tier.reached());
   Rep.EngineFallback = Tier.FallbackReason;
 }
 

@@ -90,6 +90,16 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
                                         opt::SampleRecorder *Recorder) {
   SearchResult Result;
   unsigned Dim = Factory ? Factory->dim() : W->dim();
+  // Tell the factory what this solve counted on every way out (Evals is
+  // a scalar, so it is intact even if a return moved from Result).
+  struct NoteCounted {
+    WeakDistanceFactory *F;
+    const SearchResult &R;
+    ~NoteCounted() {
+      if (F)
+        F->noteCountedEvals(R.Evals);
+    }
+  } Note{Factory, Result};
 
   // Telemetry: one span per solve; per-start ticks when a listener is
   // installed. The job tag is captured here because pool workers are

@@ -59,6 +59,11 @@ public:
 
   /// Mints a fresh, independent evaluator.
   virtual std::unique_ptr<WeakDistance> make() = 0;
+
+  /// Called on the driver thread after each solve with the evaluations
+  /// its result counts (SearchResult::Evals — the same at every thread
+  /// count and batch size, unlike the evaluations actually executed).
+  virtual void noteCountedEvals(uint64_t) {}
 };
 
 /// One backend of a portfolio. The engine does not own the optimizer.

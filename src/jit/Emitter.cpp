@@ -35,6 +35,7 @@
 #include "support/FPUtils.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 
@@ -1169,10 +1170,9 @@ bool FnEmitter::run() {
 // Module compilation
 //===----------------------------------------------------------------------===//
 
-CompiledModule wdm::jit::compile(const vm::CompiledModule &CM,
-                                 const Limits &L) {
-  obs::ScopedSpan Span("jit_compile");
-  obs::count("jit.module_compiles");
+namespace {
+
+CompiledModule emitModule(const vm::CompiledModule &CM, const Limits &L) {
   CompiledModule JM;
   JM.VM = &CM;
   JM.Functions.resize(CM.Functions.size());
@@ -1265,4 +1265,20 @@ CompiledModule wdm::jit::compile(const vm::CompiledModule &CM,
   }
   return JM;
 #endif
+}
+
+} // namespace
+
+CompiledModule wdm::jit::compile(const vm::CompiledModule &CM,
+                                 const Limits &L) {
+  obs::ScopedSpan Span("jit_compile");
+  static obs::Counter Compiles = obs::counter("jit.module_compiles");
+  static obs::Histogram Seconds = obs::histogram("jit.compile_seconds");
+  Compiles.add();
+  const auto T0 = std::chrono::steady_clock::now();
+  CompiledModule JM = emitModule(CM, L);
+  Seconds.observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+          .count());
+  return JM;
 }

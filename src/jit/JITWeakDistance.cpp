@@ -9,6 +9,7 @@
 #include "obs/Telemetry.h"
 #include "support/FPUtils.h"
 
+#include <array>
 #include <cassert>
 #include <cfenv>
 #include <cmath>
@@ -388,40 +389,204 @@ void JITWeakDistance::evalBatch(const double *Xs, std::size_t K,
 }
 
 //===----------------------------------------------------------------------===//
+// TieredWeakDistance
+//===----------------------------------------------------------------------===//
+
+namespace wdm::jit {
+
+/// A tiered factory's evaluator: a VM evaluator that moves to a native
+/// one, between two evaluations, once the run is hot. Values are the
+/// same bits either way, so the switch is invisible to the search.
+class TieredWeakDistance final : public core::WeakDistance {
+public:
+  TieredWeakDistance(JITWeakDistanceFactory &Owner,
+                     std::unique_ptr<vm::VMWeakDistance> VM)
+      : Owner(Owner), VM(std::move(VM)) {}
+
+  unsigned dim() const override { return VM->dim(); }
+  unsigned preferredBatch() const override { return VM->preferredBatch(); }
+  std::string name() const override { return VM->name(); }
+
+  double operator()(const std::vector<double> &X) override {
+    if (Native)
+      return (*Native)(X);
+    if (!StayOnVM && Owner.claim(1) == 0 && tierUp())
+      return (*Native)(X);
+    return (*VM)(X);
+  }
+
+  void evalBatch(const double *Xs, std::size_t K, double *Fs) override {
+    if (Native) {
+      Native->evalBatch(Xs, K, Fs);
+      return;
+    }
+    const std::size_t Cold = StayOnVM ? K : Owner.claim(K);
+    if (Cold)
+      VM->evalBatch(Xs, Cold, Fs);
+    if (Cold == K)
+      return;
+    const std::size_t Off = Cold * dim();
+    if (tierUp())
+      Native->evalBatch(Xs + Off, K - Cold, Fs + Cold);
+    else
+      VM->evalBatch(Xs + Off, K - Cold, Fs + Cold);
+  }
+
+private:
+  /// Switches to native code; false (for good) when the JIT rejected the
+  /// subject. The native evaluator adopts this evaluator's site-state
+  /// snapshot, not the parent's current one.
+  bool tierUp() {
+    if (!Owner.promote()) {
+      StayOnVM = true;
+      return false;
+    }
+    Native = Owner.makeNative(VM->context());
+    return true;
+  }
+
+  JITWeakDistanceFactory &Owner;
+  std::unique_ptr<vm::VMWeakDistance> VM;
+  std::unique_ptr<JITWeakDistance> Native;
+  bool StayOnVM = false;
+};
+
+} // namespace wdm::jit
+
+//===----------------------------------------------------------------------===//
 // JITWeakDistanceFactory
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The ski-rental promotion point for a lowered module of \p Insts
+/// bytecode instructions. Staying on the VM is renting: each evaluation
+/// costs the VM's excess over native code. Compiling is buying. Promote
+/// once the rent already paid is about the predicted compile cost — never
+/// worse than twice the cost of the best choice made in hindsight. Both
+/// costs are linear fits over the builtin subjects' boundary and overflow
+/// instrumentations (x86-64 Xeon, 2.1 GHz), with the compile measured
+/// cold, as a job meets it: ~40 us (emitter warm-up, mmap, mprotect)
+/// plus ~0.4 us per instruction; the VM's excess ~25 ns plus ~0.4 ns per
+/// instruction per evaluation. The point lands between ~1000 (large
+/// modules) and ~1400 (tiny ones) evaluations.
+uint64_t derivedTierUpEvals(const vm::CompiledModule &CM) {
+  uint64_t Insts = 0;
+  for (const vm::CompiledFunction &VF : CM.Functions)
+    if (VF.Ok)
+      Insts += VF.Code.size();
+  const double S = static_cast<double>(Insts);
+  const double CompileNs = 40'000.0 + 400.0 * S;
+  const double RentNs = 25.0 + 0.4 * S;
+  return static_cast<uint64_t>(std::ceil(CompileNs / RentNs));
+}
+
+} // namespace
 
 JITWeakDistanceFactory::JITWeakDistanceFactory(
     const exec::Engine &E, const ir::Function *F, const ir::GlobalVar *WVar,
     double WInit, const ExecContext &Parent, ExecOptions Opts,
-    const vm::Limits &VL, const Limits &JL)
-    : F(F), WVar(WVar), WInit(WInit), Parent(Parent), Opts(Opts),
-      VMCompiled(vm::compile(E.module(), VL)),
-      JITCompiled(compile(VMCompiled, JL)),
-      VMFallback(E, F, WVar, WInit, Parent, Opts, VL) {
-  const CompiledFunction *JF = JITCompiled.lookup(F);
-  assert(JF && "subject function outside the engine's module");
-  if (JF->Ok) {
-    Target = JF;
-    WIdx = Parent.globalIndexOf(WVar);
-  } else {
-    Reason = JF->RejectReason;
+    const vm::Limits &VL, const Limits &JL, bool Tiered)
+    : F(F), WInit(WInit), Parent(Parent), Opts(Opts), JL(JL),
+      VMFallback(E, F, WVar, WInit, Parent, Opts, VL), Tiered(Tiered) {
+  if (!Tiered) {
+    promote();
+    return;
   }
+  TierUpAt = VL.TierUpEvals ? VL.TierUpEvals
+                            : derivedTierUpEvals(VMFallback.compiled());
+}
+
+const CompiledFunction *JITWeakDistanceFactory::promote() {
+  std::call_once(CompileOnce, [this] {
+    JITCompiled = compile(VMFallback.compiled(), JL);
+    const CompiledFunction *JF = JITCompiled.lookup(F);
+    assert(JF && "subject function outside the engine's module");
+    if (JF->Ok)
+      Target = JF;
+    else
+      Reason = JF->RejectReason;
+  });
+  if (Tiered && Target && !RunPromoted.exchange(true)) {
+    static obs::Counter TierUps = obs::counter("engine.tier_ups");
+    TierUps.add();
+  }
+  return Target;
+}
+
+uint64_t JITWeakDistanceFactory::claim(uint64_t K) {
+  const uint64_t Before =
+      RunEvals.fetch_add(K, std::memory_order_relaxed);
+  return Before >= TierUpAt ? 0 : std::min(K, TierUpAt - Before);
+}
+
+void JITWeakDistanceFactory::beginRun() {
+  RunEvals.store(0, std::memory_order_relaxed);
+  RunPromoted.store(false, std::memory_order_relaxed);
+  Counted = 0;
+}
+
+bool JITWeakDistanceFactory::reachedJIT() const {
+  // Counted <= executed, so a run counted past the promotion point has
+  // already compiled (and Target is final).
+  return Counted > TierUpAt && Target;
+}
+
+std::unique_ptr<JITWeakDistance>
+JITWeakDistanceFactory::makeNative(const ExecContext &P) {
+  return std::make_unique<JITWeakDistance>(
+      JITCompiled, *Target, VMFallback.accumulatorIndex(), WInit, P, Opts);
 }
 
 std::unique_ptr<core::WeakDistance> JITWeakDistanceFactory::make() {
-  if (!Target)
-    return VMFallback.make();
-  return std::make_unique<JITWeakDistance>(JITCompiled, *Target, WIdx,
-                                           WInit, Parent, Opts);
+  if (!Tiered)
+    return Target ? makeNative(Parent) : VMFallback.make();
+  if (!VMFallback.usingVM())
+    return VMFallback.make(); // Interpreter: nothing to promote to.
+  // Already hot this run: start native (the promotion point was passed
+  // by an earlier evaluator of this run).
+  if (RunEvals.load(std::memory_order_relaxed) >= TierUpAt && promote())
+    return makeNative(Parent);
+  return std::make_unique<TieredWeakDistance>(*this,
+                                              VMFallback.makeCompiled());
 }
 
 //===----------------------------------------------------------------------===//
-// vm::makeWeakDistanceFactory
+// vm::FactoryBundle and vm::makeWeakDistanceFactory
 //
-// Defined here (not in VMWeakDistance.cpp) so the EngineKind::JIT case
+// Defined here (not in VMWeakDistance.cpp) so the JIT and tiered cases
 // can mint jit factories without the vm layer depending on this one.
 //===----------------------------------------------------------------------===//
+
+void vm::FactoryBundle::beginRun() {
+  if (Tiering)
+    Tiering->beginRun();
+}
+
+vm::EngineKind vm::FactoryBundle::reached() const {
+  return Tiering && Tiering->reachedJIT() ? EngineKind::JIT : Effective;
+}
+
+namespace {
+
+/// Bumps engine.effective.<tier> and, on a fallback, engine.fallback.<the
+/// requested tier> (a tiered bundle's fallback is the VM's rejection).
+/// The handles are interned once, indexed by EngineKind.
+void countEngine(const vm::FactoryBundle &B) {
+  using Handles = std::array<obs::Counter, 4>;
+  auto intern = [](const std::string &Prefix) {
+    return Handles{obs::counter(Prefix + "interp"),
+                   obs::counter(Prefix + "vm"), obs::counter(Prefix + "jit"),
+                   obs::counter(Prefix + "vm")};
+  };
+  static Handles Effective = intern("engine.effective.");
+  static Handles Fallback = intern("engine.fallback.");
+  Effective[static_cast<size_t>(B.Effective)].add();
+  if (!B.FallbackReason.empty())
+    Fallback[static_cast<size_t>(B.Requested)].add();
+}
+
+} // namespace
 
 vm::FactoryBundle wdm::vm::makeWeakDistanceFactory(
     EngineKind Requested, const exec::Engine &E, const ir::Function *F,
@@ -461,13 +626,29 @@ vm::FactoryBundle wdm::vm::makeWeakDistanceFactory(
     B.Factory = std::move(JF);
     break;
   }
+  case EngineKind::Tiered:
+    return jit::makeTieredFactory(E, F, WVar, WInit, Parent, Opts, L);
   }
-  if (obs::enabled()) {
-    obs::count(std::string("engine.effective.") +
-               engineKindName(B.Effective));
-    if (B.Effective != B.Requested)
-      obs::count(std::string("engine.fallback.") +
-                 engineKindName(B.Requested));
+  countEngine(B);
+  return B;
+}
+
+vm::FactoryBundle wdm::jit::makeTieredFactory(
+    const exec::Engine &E, const ir::Function *F, const ir::GlobalVar *WVar,
+    double WInit, const ExecContext &Parent, ExecOptions Opts,
+    const vm::Limits &VL, const Limits &JL) {
+  vm::FactoryBundle B;
+  B.Requested = vm::EngineKind::Tiered;
+  auto TF = std::make_unique<JITWeakDistanceFactory>(
+      E, F, WVar, WInit, Parent, Opts, VL, JL, /*Tiered=*/true);
+  if (TF->vmFallback().usingVM()) {
+    B.Effective = vm::EngineKind::VM;
+    B.Tiering = TF.get();
+  } else {
+    B.Effective = vm::EngineKind::Interp;
+    B.FallbackReason = TF->vmFallback().fallbackReason();
   }
+  B.Factory = std::move(TF);
+  countEngine(B);
   return B;
 }

@@ -24,7 +24,9 @@
 #include "jit/JITCompile.h"
 #include "vm/VMWeakDistance.h"
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -74,7 +76,7 @@ private:
 /// One native weak-distance evaluator: owns its ExecContext, raw global
 /// mirror, frame, and callee arena, so SearchEngine workers never share
 /// mutable state.
-class JITWeakDistance : public core::WeakDistance {
+class JITWeakDistance final : public core::WeakDistance {
 public:
   /// \p JM (and the vm module it was emitted from) must outlive the
   /// evaluator; \p WIdx is the dense slot of the accumulator global.
@@ -128,43 +130,92 @@ private:
 /// Drop-in above vm::VMWeakDistanceFactory that mints native
 /// evaluators, falling back to the embedded VM factory (and through it
 /// to the interpreter) when the JIT rejected the subject, a callee, or
-/// the host.
+/// the host. The module is lowered once: the native code is compiled
+/// from the embedded VM factory's CompiledModule.
+///
+/// In tiered mode (EngineKind::Tiered, the default) nothing is compiled
+/// up front. Minted evaluators run on the VM and count this run's
+/// evaluations; the evaluation that reaches the promotion point compiles
+/// the native code (once, thread-safe) and it and every later one — in
+/// every evaluator, including the rest of the current start — run on
+/// the JIT. The promotion point is a ski-rental one: the evaluation
+/// count at which the time the VM has already lost to native code is
+/// about the predicted compile cost, both predicted from the lowered
+/// module's size.
 class JITWeakDistanceFactory : public core::WeakDistanceFactory {
 public:
   JITWeakDistanceFactory(const exec::Engine &E, const ir::Function *F,
                          const ir::GlobalVar *WVar, double WInit,
                          const exec::ExecContext &Parent,
                          exec::ExecOptions Opts = {},
-                         const vm::Limits &VL = {}, const Limits &JL = {});
+                         const vm::Limits &VL = {}, const Limits &JL = {},
+                         bool Tiered = false);
 
   unsigned dim() const override { return F->numArgs(); }
   std::unique_ptr<core::WeakDistance> make() override;
+  void noteCountedEvals(uint64_t N) override { Counted += N; }
 
-  /// True when minted evaluators execute native code.
+  /// True when minted evaluators execute native code (pinned mode; in
+  /// tiered mode, once the subject has been compiled).
   bool usingJIT() const { return Target != nullptr; }
-  /// Why the JIT refused (empty when usingJIT()).
+  /// Why the JIT refused (empty when usingJIT() or not yet compiled).
   const std::string &fallbackReason() const { return Reason; }
-  /// The embedded VM factory serving the fallback path (it reports its
-  /// own, further, interpreter fallback).
+  /// The embedded VM factory: the one lowering, and the fallback path
+  /// (it reports its own, further, interpreter fallback).
   vm::VMWeakDistanceFactory &vmFallback() { return VMFallback; }
   const CompiledModule &compiled() const { return JITCompiled; }
 
+  /// Tiered mode: resets the per-run hotness and counted evaluations
+  /// (compiled code is kept).
+  void beginRun();
+  /// Tiered mode: true when this run's counted evaluations passed the
+  /// promotion point and the JIT took the subject.
+  bool reachedJIT() const;
+
 private:
+  friend class TieredWeakDistance;
+
+  /// Claims \p K evaluations of this run; returns how many of them
+  /// (a prefix) still run on the VM.
+  uint64_t claim(uint64_t K);
+  /// Compiles the native code once; the subject's entry, or null when
+  /// the JIT rejected it. Counts one tier-up per run.
+  const CompiledFunction *promote();
+  std::unique_ptr<JITWeakDistance> makeNative(const exec::ExecContext &P);
+
   const ir::Function *F;
-  const ir::GlobalVar *WVar;
   double WInit;
   const exec::ExecContext &Parent;
   exec::ExecOptions Opts;
+  Limits JL;
 
-  vm::CompiledModule VMCompiled; ///< Own lowering — native code points
-                                 ///< into its pools, so it must outlive
-                                 ///< JITCompiled and never move.
+  vm::VMWeakDistanceFactory VMFallback; ///< Owns the lowering the native
+                                        ///< code points into, so it must
+                                        ///< outlive JITCompiled.
+  std::once_flag CompileOnce;
   CompiledModule JITCompiled;
   const CompiledFunction *Target = nullptr; ///< Null => fallback.
-  unsigned WIdx = 0;
-  vm::VMWeakDistanceFactory VMFallback;
   std::string Reason;
+
+  bool Tiered;
+  uint64_t TierUpAt = 0;
+  std::atomic<uint64_t> RunEvals{0}; ///< Executed this run (promotion).
+  std::atomic<bool> RunPromoted{false};
+  uint64_t Counted = 0; ///< Counted this run (the Report's tier).
 };
+
+/// The bundle vm::makeWeakDistanceFactory builds for EngineKind::Tiered,
+/// with both tiers' limits exposed (tests shrink them). Evaluators start
+/// on the VM, or on the interpreter — with the VM's reason as the
+/// fallback — when the lowering rejected the subject. A JIT that later
+/// rejects the subject is not a fallback: the run stays on the VM.
+vm::FactoryBundle makeTieredFactory(const exec::Engine &E,
+                                    const ir::Function *F,
+                                    const ir::GlobalVar *WVar, double WInit,
+                                    const exec::ExecContext &Parent,
+                                    exec::ExecOptions Opts = {},
+                                    const vm::Limits &VL = {},
+                                    const Limits &JL = {});
 
 } // namespace wdm::jit
 

@@ -254,6 +254,9 @@ void Server::pollLoop() {
       Pfds.push_back({ListenFd, POLLIN, 0});
     for (const auto &C : Conns)
       Pfds.push_back({C->Fd, POLLIN, 0});
+    // Connections accepted below join Conns after Pfds was built; they
+    // are polled from the next round on.
+    const size_t Polled = Conns.size();
 
     int Rc = ::poll(Pfds.data(), Pfds.size(), 250);
     if (Rc < 0 && errno != EINTR)
@@ -298,7 +301,7 @@ void Server::pollLoop() {
     }
 
     // Read whatever arrived on each connection.
-    for (size_t C = 0; C < Conns.size(); ++C, ++Idx) {
+    for (size_t C = 0; C < Polled; ++C, ++Idx) {
       if (!(Pfds[Idx].revents & (POLLIN | POLLHUP | POLLERR)))
         continue;
       Conn &Cn = *Conns[C];

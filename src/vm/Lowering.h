@@ -37,6 +37,10 @@ struct Limits {
   /// the unfused ones; tests flip this off to diff the two encodings
   /// against each other.
   bool Fuse = true;
+  /// Evaluations a tiered factory (EngineKind::Tiered) runs on the VM
+  /// before it promotes the subject to the JIT. 0 = derived from the
+  /// lowered module's size; tests pin it to land promotion mid-start.
+  uint64_t TierUpEvals = 0;
 };
 
 /// Lowers every function of \p M. \p M must outlive the result and must

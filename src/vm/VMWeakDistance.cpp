@@ -22,6 +22,8 @@ const char *wdm::vm::engineKindName(EngineKind K) {
     return "vm";
   case EngineKind::JIT:
     return "jit";
+  case EngineKind::Tiered:
+    return "tiered";
   }
   return "?";
 }
@@ -112,6 +114,11 @@ VMWeakDistanceFactory::VMWeakDistanceFactory(
 std::unique_ptr<core::WeakDistance> VMWeakDistanceFactory::make() {
   if (!Target)
     return InterpFallback.make();
+  return makeCompiled();
+}
+
+std::unique_ptr<VMWeakDistance> VMWeakDistanceFactory::makeCompiled() {
+  assert(Target && "minting a VM evaluator for a rejected subject");
   return std::make_unique<VMWeakDistance>(Compiled, *Target, WIdx, WInit,
                                           Parent, Opts);
 }

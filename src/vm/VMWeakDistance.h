@@ -16,9 +16,13 @@
 /// the interpreter instead and fallbackReason() says why. Results are
 /// bit-for-bit identical either way; only throughput changes.
 ///
-/// EngineKind names the two execution tiers; api::SearchConfig's `engine`
-/// field and every analysis constructor select by it (VM is the default
-/// tier everywhere).
+/// EngineKind names the execution tiers; api::SearchConfig's `engine`
+/// field and every analysis constructor select by it. The default
+/// everywhere is Tiered: searches start on the VM, and once a run's
+/// evaluations pass a promotion point derived from the subject's size the
+/// same lowered module is compiled to native code and every later
+/// evaluation runs on the JIT. Tiered has no spelling — it is what an
+/// unset engine means.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,19 +36,25 @@
 #include <memory>
 #include <string>
 
+namespace wdm::jit {
+class JITWeakDistanceFactory;
+} // namespace wdm::jit
+
 namespace wdm::vm {
 
 /// The execution tiers behind every weak-distance evaluation.
 enum class EngineKind : uint8_t {
   Interp, ///< exec::Engine, the tree-walking interpreter.
-  VM,     ///< vm::Machine over lowered bytecode (the default).
+  VM,     ///< vm::Machine over lowered bytecode.
   JIT,    ///< jit:: native code compiled from the lowered bytecode.
+  Tiered, ///< VM first, JIT once hot (the default; never spelled out).
 };
 
 const char *engineKindName(EngineKind K);
-/// Parses "interp" / "vm" / "jit"; false on anything else. "jit" parses
-/// on every platform — availability is a factory concern (unavailable
-/// hosts fall back to the VM and report it via FactoryBundle).
+/// Parses "interp" / "vm" / "jit"; false on anything else (Tiered is
+/// requested by leaving the engine unset). "jit" parses on every
+/// platform — availability is a factory concern (unavailable hosts fall
+/// back to the VM and report it via FactoryBundle).
 bool engineKindByName(const std::string &Name, EngineKind &Out);
 
 /// One compiled weak-distance evaluator: owns its ExecContext and its
@@ -102,12 +112,16 @@ public:
 
   unsigned dim() const override { return F->numArgs(); }
   std::unique_ptr<core::WeakDistance> make() override;
+  /// A compiled evaluator; requires usingVM().
+  std::unique_ptr<VMWeakDistance> makeCompiled();
 
   /// True when minted evaluators execute compiled code.
   bool usingVM() const { return Target != nullptr; }
   /// Why the lowering refused (empty when usingVM()).
   const std::string &fallbackReason() const { return Reason; }
   const CompiledModule &compiled() const { return Compiled; }
+  /// Dense slot of the accumulator global (meaningful when usingVM()).
+  unsigned accumulatorIndex() const { return WIdx; }
 
 private:
   const ir::Function *F;
@@ -128,23 +142,38 @@ private:
 /// are filled from.
 struct FactoryBundle {
   std::unique_ptr<core::WeakDistanceFactory> Factory;
-  EngineKind Requested = EngineKind::VM;
+  EngineKind Requested = EngineKind::Tiered;
+  /// The tier minted evaluators start on (never Tiered).
   EngineKind Effective = EngineKind::Interp;
-  /// Set when the effective tier is below the requested one (the
-  /// lowering rejected the subject, or the JIT is unavailable / refused
-  /// and fell through to the VM or further).
+  /// Set when a tier rejected the subject and evaluation fell below the
+  /// requested tier (the lowering rejected the subject, or a pinned JIT
+  /// is unavailable / refused and fell through to the VM or further). A
+  /// tiered run that cannot promote simply stays on the VM: no reason.
   std::string FallbackReason;
+  /// The promotion control of a tiered bundle whose evaluators start on
+  /// the VM (owned by Factory); null otherwise.
+  jit::JITWeakDistanceFactory *Tiering = nullptr;
 
-  const char *effectiveName() const { return engineKindName(Effective); }
+  /// Starts a run: a tiered bundle's hotness count is per run, not per
+  /// factory (a WarmCache keeps factories — and their native code —
+  /// across runs). A no-op for pinned tiers.
+  void beginRun();
+  /// The highest tier the current run reached — the Report's `engine`.
+  /// For a tiered bundle this is JIT exactly when the run's counted
+  /// search evaluations passed the promotion point and the JIT took the
+  /// subject, so it is the same at every thread count, batch size,
+  /// shard count, and cold or warm.
+  EngineKind reached() const;
   core::WeakDistanceFactory &operator*() const { return *Factory; }
 };
 
 /// Builds the factory for \p Requested: the interpreter factory as-is,
 /// a VMWeakDistanceFactory whose effective tier reflects lowering
-/// success, or a jit::JITWeakDistanceFactory degrading through the full
-/// jit -> vm -> interp chain. Argument shape matches
-/// instr::IRWeakDistanceFactory. (Defined in src/jit/ so the JIT tier
-/// can be selected without the vm layer depending on it.)
+/// success, a jit::JITWeakDistanceFactory degrading through the full
+/// jit -> vm -> interp chain, or (Tiered) a JIT factory that starts on
+/// the VM and compiles native code once the run is hot. Argument shape
+/// matches instr::IRWeakDistanceFactory. (Defined in src/jit/ so the JIT
+/// tier can be selected without the vm layer depending on it.)
 FactoryBundle makeWeakDistanceFactory(EngineKind Requested,
                                       const exec::Engine &E,
                                       const ir::Function *F,

@@ -12,6 +12,7 @@
 #include "api/TaskRegistry.h"
 #include "gsl/Bessel.h"
 #include "ir/Parser.h"
+#include "jit/JITWeakDistance.h"
 #include "opt/BasinHopping.h"
 #include "support/Json.h"
 #include "vm/VMWeakDistance.h"
@@ -172,12 +173,12 @@ TEST(SpecTest, JsonRoundTripAllFields) {
 }
 
 TEST(SpecTest, EngineFieldDefaultsAndValidation) {
-  // Unset engine resolves to the compiled tier and stays unset in JSON.
+  // Unset engine resolves to tiered execution and stays unset in JSON.
   Expected<AnalysisSpec> Unset = AnalysisSpec::parse(
       R"({"task": "boundary", "module": {"builtin": "fig2"}})");
   ASSERT_TRUE(Unset.hasValue()) << Unset.error();
   EXPECT_TRUE(Unset->Search.Engine.empty());
-  EXPECT_EQ(Unset->Search.engineKind(), vm::EngineKind::VM);
+  EXPECT_EQ(Unset->Search.engineKind(), vm::EngineKind::Tiered);
   EXPECT_EQ(Unset->toJsonText().find("\"engine\""), std::string::npos);
 
   // All three tier spellings parse ("jit" on every platform — hosts
@@ -453,7 +454,9 @@ TEST(EquivalenceTest, EnginesProduceIdenticalReports) {
   EXPECT_EQ(RV.StartsUsed, RI.StartsUsed);
   EXPECT_EQ(RV.UnsoundCandidates, RI.UnsoundCandidates);
 
-  // An unset engine is the vm default.
+  // An unset engine is tiered: this search runs long enough to pass the
+  // promotion point, so it reaches the JIT wherever the host has one —
+  // with the same results and no fallback.
   AnalysisSpec Default;
   Default.Task = TaskKind::Boundary;
   Default.Module = ModuleSource::inlineText(QuickstartIr);
@@ -461,7 +464,8 @@ TEST(EquivalenceTest, EnginesProduceIdenticalReports) {
   Default.Search.MaxEvals = 40'000;
   Expected<Report> RD = Analyzer::analyze(Default);
   ASSERT_TRUE(RD.hasValue()) << RD.error();
-  EXPECT_EQ(RD->Engine, "vm");
+  EXPECT_EQ(RD->Engine, jit::available() ? "jit" : "vm");
+  EXPECT_TRUE(RD->EngineFallback.empty()) << RD->EngineFallback;
   EXPECT_EQ(RD->Evals, RV.Evals);
 }
 
@@ -498,7 +502,9 @@ TEST(ReportTest, JsonSerializesAndParses) {
   EXPECT_EQ(Doc->find("findings")->size(), R->Findings.size());
   EXPECT_EQ(Doc->find("evals")->asUint(), R->Evals);
   ASSERT_NE(Doc->find("engine"), nullptr);
-  EXPECT_EQ(Doc->find("engine")->asString(), "vm");
+  // Unset engine, a long coverage run: tiered execution reached the JIT.
+  EXPECT_EQ(Doc->find("engine")->asString(),
+            jit::available() ? "jit" : "vm");
   EXPECT_EQ(Doc->find("extra")->find("total")->asUint(),
             R->Extra.find("total")->asUint());
 }

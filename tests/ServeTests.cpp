@@ -36,8 +36,11 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
 #include <dirent.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -741,6 +744,63 @@ TEST(ServeSocketTest, OversizedBodyGets413) {
       httpRequest("127.0.0.1", S.port(), "POST", "/v1/run", Huge);
   ASSERT_TRUE(R.hasValue()) << R.error();
   EXPECT_EQ(R->Status, 413);
+  S.requestStop();
+  S.wait();
+}
+
+/// Connects a blocking loopback socket to \p Port (-1 on failure).
+int connectLoopback(uint16_t Port) {
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return -1;
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_port = htons(Port);
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+TEST(ServeSocketTest, ManyConnectionsAcceptedInOnePollRound) {
+  // Several connections pending at once are all accepted in one poll
+  // round, after that round's pollfd array was built; the read loop must
+  // only visit the connections the array covers (the ASan CI job turns
+  // an overrun into a failure). One request is already parked so the
+  // array also holds a live connection entry.
+  ObsQuiesce Quiesce;
+  Server S(ServerOptions{});
+  ASSERT_TRUE(S.start().ok());
+
+  const std::string Req = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+  int Parked = connectLoopback(S.port());
+  ASSERT_GE(Parked, 0);
+  ASSERT_EQ(::write(Parked, Req.data(), 10), 10); // Half a request.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  std::vector<int> Fds;
+  for (int I = 0; I < 16; ++I) {
+    int Fd = connectLoopback(S.port());
+    ASSERT_GE(Fd, 0);
+    Fds.push_back(Fd);
+  }
+  Fds.push_back(Parked);
+  for (size_t I = 0; I < Fds.size(); ++I) {
+    size_t Off = Fds[I] == Parked ? 10 : 0;
+    ASSERT_EQ(::write(Fds[I], Req.data() + Off, Req.size() - Off),
+              static_cast<ssize_t>(Req.size() - Off));
+  }
+  for (int Fd : Fds) {
+    std::string Raw;
+    char Buf[1024];
+    ssize_t N;
+    while ((N = ::read(Fd, Buf, sizeof(Buf))) > 0)
+      Raw.append(Buf, static_cast<size_t>(N));
+    ::close(Fd);
+    EXPECT_EQ(parseResponse(Raw).Status, 200) << Raw;
+  }
   S.requestStop();
   S.wait();
 }

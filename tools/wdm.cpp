@@ -95,8 +95,10 @@ int usage() {
          "  --batch=<n>                evaluation block size (0 = auto: "
          "vm 32, interp 8)\n"
          "  --backends=<a,b,...>       portfolio by name\n"
-         "  --engine=<e>               execution tier: vm (default) | "
-         "interp | jit\n"
+         "  --engine=<e>               pin an execution tier: vm | interp "
+         "| jit\n"
+         "                             (default: tiered, vm then jit "
+         "once hot)\n"
          "  --prune=<m>                static pre-pass: off (default) | "
          "sites | sites+box\n"
          "  --path=<leg,leg,...>       path legs, e.g. 0:taken,1:not\n"
@@ -376,9 +378,9 @@ int cmdTasks(int Argc, char **Argv) {
   std::cout << "\nbackends:\n ";
   for (const std::string &B : backendNames())
     std::cout << " " << B;
-  std::cout << "\n\nengines:\n"
-               "  vm          compiled tier: bytecode + threaded-code VM "
-               "(default)\n"
+  std::cout << "\n\nengines (unset = tiered: start on vm, move hot runs "
+               "to jit):\n"
+               "  vm          compiled tier: bytecode + threaded-code VM\n"
                "  interp      tree-walking interpreter (automatic "
                "fallback target)\n"
                "  jit         native tier: template-JIT x86-64 code ";
