@@ -82,6 +82,48 @@ opt::Optimizer *pickBackend(const std::vector<PortfolioEntry> &Pool,
   return Pool.back().Backend;
 }
 
+// The search's telemetry counters. counter() takes the registry lock and
+// scans every metric name, and most of these names outgrow the
+// small-string buffer, so each handle is interned once — lazily, at its
+// first enabled bump, which keeps the snapshot's registration order.
+
+/// search.backend.<Name>, cached per thread by name: no lock, no
+/// allocation after the first start of each backend.
+obs::Counter backendCounter(const char *Name) {
+  thread_local std::vector<std::pair<std::string, obs::Counter>> Cache;
+  for (const auto &[N, C] : Cache)
+    if (N == Name)
+      return C;
+  Cache.emplace_back(Name,
+                     obs::counter(std::string("search.backend.") + Name));
+  return Cache.back().second;
+}
+
+/// One finished start: search.starts, search.evals, search.backend.*.
+void countStart(uint64_t Evals, const char *Backend) {
+  if (!obs::enabled())
+    return;
+  static obs::Counter Starts = obs::counter("search.starts");
+  static obs::Counter EvalsC = obs::counter("search.evals");
+  Starts.add();
+  EvalsC.add(Evals);
+  backendCounter(Backend).add();
+}
+
+void countVerifyCall() {
+  if (!obs::enabled())
+    return;
+  static obs::Counter C = obs::counter("search.verify_calls");
+  C.add();
+}
+
+void countUnsound() {
+  if (!obs::enabled())
+    return;
+  static obs::Counter C = obs::counter("search.unsound");
+  C.add();
+}
+
 } // namespace
 
 SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
@@ -219,12 +261,7 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
         First = false;
       }
 
-      if (obs::enabled()) {
-        obs::count("search.starts");
-        obs::count("search.evals", MR.Evals);
-        obs::count(std::string("search.backend.") +
-                   Tasks[K].Backend->name());
-      }
+      countStart(MR.Evals, Tasks[K].Backend->name());
       if (Ticks)
         emitTick(Result.Evals, Result.WStar, Result.StartsUsed,
                  Tasks[K].Backend->name(), false);
@@ -235,10 +272,10 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
       // Candidate zero: Algorithm 2 step (3), optionally hardened by the
       // Section 5.2 soundness check.
       if (Opts.VerifySolutions && Problem) {
-        obs::count("search.verify_calls");
+        countVerifyCall();
         if (!Problem->contains(MR.X)) {
           ++Result.UnsoundCandidates;
-          obs::count("search.unsound");
+          countUnsound();
           continue;
         }
       }
@@ -312,12 +349,7 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
       Out.ReachedTarget = MR.ReachedTarget;
       Out.Ran = true;
 
-      if (obs::enabled()) {
-        obs::count("search.starts");
-        obs::count("search.evals", MR.Evals);
-        obs::count(std::string("search.backend.") +
-                   Tasks[K].Backend->name());
-      }
+      countStart(MR.Evals, Tasks[K].Backend->name());
       if (Ticks) {
         std::lock_guard<std::mutex> Lock(TickMu);
         TickEvals += MR.Evals;
@@ -335,7 +367,7 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
 
       bool Sound = true;
       if (Opts.VerifySolutions && Problem) {
-        obs::count("search.verify_calls");
+        countVerifyCall();
         // Membership oracles replay shared interpreter state; serialize.
         std::lock_guard<std::mutex> Lock(VerifyMu);
         Sound = Problem->contains(MR.X);
@@ -376,7 +408,7 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
       continue;
     if (!Out.Verified) {
       ++Result.UnsoundCandidates;
-      obs::count("search.unsound");
+      countUnsound();
       continue;
     }
     Result.Found = true;

@@ -26,17 +26,31 @@ Engine::Engine(const Module &M) : M(M) {
   for (const auto &F : M) {
     FunctionLayout &Layout = Layouts[F.get()];
     unsigned NextValue = 0;
-    unsigned NextSlot = 0;
     for (unsigned I = 0; I < F->numArgs(); ++I)
       Layout.ValueIndex[F->arg(I)] = NextValue++;
     F->forEachInst([&](const Instruction *Inst) {
       if (Inst->type() != Type::Void)
         Layout.ValueIndex[Inst] = NextValue++;
-      if (Inst->opcode() == Opcode::Alloca)
-        Layout.SlotIndex[Inst] = NextSlot++;
+      if (Inst->opcode() != Opcode::Alloca)
+        return;
+      Layout.SlotIndex[Inst] =
+          static_cast<unsigned>(Layout.SlotInit.size());
+      switch (Inst->type()) {
+      case Type::Double:
+        Layout.SlotInit.push_back(RTValue::ofDouble(0.0));
+        break;
+      case Type::Int:
+        Layout.SlotInit.push_back(RTValue::ofInt(0));
+        break;
+      case Type::Bool:
+        Layout.SlotInit.push_back(RTValue::ofBool(false));
+        break;
+      case Type::Void:
+        Layout.SlotInit.emplace_back();
+        break;
+      }
     });
     Layout.NumValues = NextValue;
-    Layout.NumSlots = NextSlot;
   }
 }
 
@@ -150,7 +164,7 @@ ExecResult Engine::runFrame(const Function *F,
   const FunctionLayout &Layout = layoutOf(F);
 
   std::vector<RTValue> Values(Layout.NumValues);
-  std::vector<RTValue> Slots(Layout.NumSlots);
+  std::vector<RTValue> Slots(Layout.SlotInit);
   for (unsigned I = 0; I < F->numArgs(); ++I) {
     assert(Args[I].type() == F->arg(I)->type() && "argument type mismatch");
     Values[Layout.ValueIndex.at(F->arg(I))] = Args[I];

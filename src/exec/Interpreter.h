@@ -107,7 +107,10 @@ private:
     std::unordered_map<const ir::Value *, unsigned> ValueIndex;
     std::unordered_map<const ir::Instruction *, unsigned> SlotIndex;
     unsigned NumValues = 0;
-    unsigned NumSlots = 0;
+    /// Every slot's entry value: a zero of its type, as the compiled
+    /// tiers zero their frame slots, so a load before any store reads
+    /// the same value on every tier.
+    std::vector<RTValue> SlotInit;
   };
 
   const FunctionLayout &layoutOf(const ir::Function *F) const;

@@ -145,15 +145,53 @@ void fillInvariantRT(JitRT &RT, const CompiledModule &JM,
   RT.JM = &JM;
 }
 
-/// The subject frame's initial contents: zeros everywhere, consts at
-/// NumArgs.. — a memcpy source so repeated runs skip the per-slot
-/// zero/const loops.
-void buildFrameImage(const vm::CompiledFunction &VF, std::vector<Reg> &Img) {
-  Reg Zero;
-  Zero.U = 0;
-  Img.assign(VF.NumRegs, Zero);
+Reg toReg(double D) {
+  Reg R;
+  R.D = D;
+  return R;
+}
+
+Reg toReg(const RTValue &V) {
+  Reg R;
+  R.U = 0;
+  switch (V.type()) {
+  case ir::Type::Double:
+    R.D = V.asDouble();
+    break;
+  case ir::Type::Int:
+    R.I = V.asInt();
+    break;
+  case ir::Type::Bool:
+    R.I = V.asBool() ? 1 : 0;
+    break;
+  case ir::Type::Void:
+    assert(false && "void argument");
+    break;
+  }
+  return R;
+}
+
+// The frame contract every tier shares (vm::Machine::initFrame,
+// wdm_jit_call): a frame is entered with its args and consts written and
+// its alloca slots zeroed. The result registers keep whatever an earlier
+// run left there — IR dominance guarantees each is written before it is
+// read. No emitted code writes a const register, so a frame that only
+// ever serves one function takes its consts once.
+
+/// Writes \p VF's pooled constants into their registers.
+void loadConsts(const vm::CompiledFunction &VF, Reg *Frame) {
   for (unsigned K = 0; K < VF.NumConsts; ++K)
-    Img[VF.NumArgs + K].U = VF.ConstBits[K];
+    Frame[VF.NumArgs + K].U = VF.ConstBits[K];
+}
+
+/// Enters \p VF's frame, whose consts are already loaded: writes the
+/// args and zeroes the alloca slots.
+template <typename Arg>
+void enterFrame(const vm::CompiledFunction &VF, Reg *Frame, const Arg *Args) {
+  for (unsigned K = 0; K < VF.NumArgs; ++K)
+    Frame[K] = toReg(Args[K]);
+  for (unsigned K = 0; K < VF.NumSlots; ++K)
+    Frame[VF.FirstSlotReg + K].U = 0;
 }
 
 /// Translates a native entry's outcome into an ExecResult.
@@ -190,31 +228,27 @@ ExecResult finishNative(uint32_t Out, const JitRT &RT,
   return R;
 }
 
-/// The native-run core behind jit::run: stage the raw global mirror,
-/// build the frame, invoke the entry, write state back, and translate
-/// the outcome. Expects the rounding mode to be installed by the caller
-/// and \p Args to hold NumArgs pre-converted raw register values.
-ExecResult invokeNative(const CompiledModule &JM, const CompiledFunction &JF,
-                        ExecContext &Ctx, const ExecOptions &Opts,
-                        const Reg *Args, std::vector<uint64_t> &RawGlob,
-                        std::vector<Reg> &Frame, std::vector<Reg> &Arena) {
+/// The typed run behind jit::run and Runner::run, on an RT whose
+/// invariant fields are filled: stage the raw global mirror and the
+/// frame, invoke the entry, write the globals back, and translate the
+/// outcome. Expects the rounding mode to be installed by the caller.
+ExecResult runTyped(const CompiledModule &JM, const CompiledFunction &JF,
+                    ExecContext &Ctx, JitRT &RT,
+                    std::vector<uint64_t> &RawGlob, std::vector<Reg> &Frame,
+                    const std::vector<RTValue> &Args) {
   assert(JF.Ok && "running a rejected function");
   const vm::CompiledFunction &VF = *JF.VF;
-
-  JitRT RT;
-  fillInvariantRT(RT, JM, Ctx, Opts, RawGlob, Arena);
+  assert(Args.size() == VF.NumArgs && "argument count mismatch");
+  if (Frame.size() < VF.NumRegs)
+    Frame.resize(VF.NumRegs);
+  loadConsts(VF, Frame.data());
+  enterFrame(VF, Frame.data(), Args.data());
   pullGlobalsRaw(Ctx, RawGlob);
   RT.Steps = 0;
+  // The observer and site-disabled flags may change between runs.
   RT.Obs = Ctx.observer();
-
-  Reg Zero;
-  Zero.U = 0;
-  Frame.assign(VF.NumRegs, Zero);
-  for (unsigned K = 0; K < VF.NumArgs; ++K)
-    Frame[K] = Args[K];
-  for (unsigned K = 0; K < VF.NumConsts; ++K)
-    Frame[VF.NumArgs + K].U = VF.ConstBits[K];
-
+  RT.Dis = Ctx.siteDisabledTable().data();
+  RT.NDis = static_cast<int64_t>(Ctx.siteDisabledTable().size());
   const uint32_t Out =
       JM.entry(static_cast<unsigned>(&JF - JM.Functions.data()))(
           &RT, Frame.data());
@@ -227,34 +261,15 @@ ExecResult invokeNative(const CompiledModule &JM, const CompiledFunction &JF,
 ExecResult wdm::jit::run(const CompiledModule &JM, const CompiledFunction &JF,
                          const std::vector<RTValue> &Args, ExecContext &Ctx,
                          const ExecOptions &Opts) {
-  assert(Args.size() == JF.VF->NumArgs && "argument count mismatch");
   RoundingScope Rounding(Opts.Rounding);
   // Persistent per-thread buffers: like vm::Machine's stack, repeated
   // runs must not pay a frame/arena allocation per call. Native code
   // never re-enters this function, so reuse is safe.
-  static thread_local std::vector<Reg> ArgBits;
   static thread_local std::vector<uint64_t> RawGlob;
   static thread_local std::vector<Reg> Frame, Arena;
-  ArgBits.assign(Args.size(), Reg{});
-  for (size_t I = 0; I < Args.size(); ++I) {
-    switch (Args[I].type()) {
-    case ir::Type::Double:
-      ArgBits[I].D = Args[I].asDouble();
-      break;
-    case ir::Type::Int:
-      ArgBits[I].I = Args[I].asInt();
-      break;
-    case ir::Type::Bool:
-      ArgBits[I].I = Args[I].asBool() ? 1 : 0;
-      break;
-    case ir::Type::Void:
-      assert(false && "void argument");
-      ArgBits[I].U = 0;
-      break;
-    }
-  }
-  return invokeNative(JM, JF, Ctx, Opts, ArgBits.data(), RawGlob, Frame,
-                      Arena);
+  JitRT RT;
+  fillInvariantRT(RT, JM, Ctx, Opts, RawGlob, Arena);
+  return runTyped(JM, JF, Ctx, RT, RawGlob, Frame, Args);
 }
 
 //===----------------------------------------------------------------------===//
@@ -264,52 +279,12 @@ ExecResult wdm::jit::run(const CompiledModule &JM, const CompiledFunction &JF,
 Runner::Runner(const CompiledModule &JM, ExecContext &Ctx, ExecOptions Opts)
     : JM(JM), Ctx(Ctx), Opts(Opts) {
   fillInvariantRT(RT, JM, Ctx, Opts, RawGlob, Arena);
-  FrameImages.resize(JM.Functions.size());
 }
 
 ExecResult Runner::run(const CompiledFunction &JF,
                        const std::vector<RTValue> &Args) {
-  assert(JF.Ok && "running a rejected function");
-  const vm::CompiledFunction &VF = *JF.VF;
-  assert(Args.size() == VF.NumArgs && "argument count mismatch");
   RoundingScope Rounding(Opts.Rounding);
-
-  const size_t Idx = static_cast<size_t>(&JF - JM.Functions.data());
-  std::vector<Reg> &Img = FrameImages[Idx];
-  if (Img.size() != VF.NumRegs)
-    buildFrameImage(VF, Img);
-  Frame.resize(VF.NumRegs);
-  std::memcpy(Frame.data(), Img.data(), VF.NumRegs * sizeof(Reg));
-  for (size_t I = 0; I < Args.size(); ++I) {
-    switch (Args[I].type()) {
-    case ir::Type::Double:
-      Frame[I].D = Args[I].asDouble();
-      break;
-    case ir::Type::Int:
-      Frame[I].I = Args[I].asInt();
-      break;
-    case ir::Type::Bool:
-      Frame[I].I = Args[I].asBool() ? 1 : 0;
-      break;
-    case ir::Type::Void:
-      assert(false && "void argument");
-      Frame[I].U = 0;
-      break;
-    }
-  }
-
-  pullGlobalsRaw(Ctx, RawGlob);
-  RT.Steps = 0;
-  // The observer and site-disabled flags may change between runs; the
-  // rest of RT is invariant for this binding.
-  RT.Obs = Ctx.observer();
-  RT.Dis = Ctx.siteDisabledTable().data();
-  RT.NDis = static_cast<int64_t>(Ctx.siteDisabledTable().size());
-
-  const uint32_t Out =
-      JM.entry(static_cast<unsigned>(Idx))(&RT, Frame.data());
-  pushGlobalsRaw(Ctx, RawGlob);
-  return finishNative(Out, RT, VF);
+  return runTyped(JM, JF, Ctx, RT, RawGlob, Frame, Args);
 }
 
 //===----------------------------------------------------------------------===//
@@ -320,14 +295,13 @@ JITWeakDistance::JITWeakDistance(const CompiledModule &JM,
                                  const CompiledFunction &JF, unsigned WIdx,
                                  double WInit, const ExecContext &Parent,
                                  ExecOptions Opts)
-    : JM(JM), JF(JF), WIdx(WIdx), WInit(WInit), Ctx(*JM.VM->M),
-      Opts(Opts),
+    : JF(JF), WIdx(WIdx), Ctx(*JM.VM->M), Rounding(Opts.Rounding),
       Entry(JM.entry(static_cast<unsigned>(&JF - JM.Functions.data()))) {
   assert(JF.Ok && "minting a JIT evaluator for a rejected function");
   Ctx.adoptSiteState(Parent);
   fillInvariantRT(RT, JM, Ctx, Opts, RawGlob, Arena);
-  buildFrameImage(*JF.VF, FrameImage);
   Frame.resize(JF.VF->NumRegs);
+  loadConsts(*JF.VF, Frame.data());
   // Capture the evaluation precondition once: globals reset to their
   // initializers, w seeded. Every evaluation starts from this image.
   Ctx.resetGlobals();
@@ -335,57 +309,36 @@ JITWeakDistance::JITWeakDistance(const CompiledModule &JM,
   pullGlobalsRaw(Ctx, ResetRawImage);
 }
 
-void JITWeakDistance::runNative(const double *Args) {
-  const vm::CompiledFunction &VF = *JF.VF;
+double JITWeakDistance::evalNative(const double *Args) {
   // Reset + seed + stage in one memcpy: resetGlobals() is
   // deterministic, so the cached image is bit-identical to the typed
   // reset/seed/pull sequence the slower tiers perform.
   std::memcpy(RawGlob.data(), ResetRawImage.data(),
               ResetRawImage.size() * sizeof(uint64_t));
-  std::memcpy(Frame.data(), FrameImage.data(),
-              FrameImage.size() * sizeof(Reg));
-  for (unsigned K = 0; K < VF.NumArgs; ++K)
-    Frame[K].D = Args[K];
+  enterFrame(*JF.VF, Frame.data(), Args);
   RT.Steps = 0;
-  RT.Obs = Ctx.observer();
-  const uint32_t Out = Entry(&RT, Frame.data());
-  // Keep the typed slots current so context() readers (tests, the
-  // search's site bookkeeping) observe exactly the post-run state the
-  // VM tier would leave.
-  pushGlobalsRaw(Ctx, RawGlob);
-  Last = finishNative(Out, RT, VF);
+  if (Entry(&RT, Frame.data()) ==
+      static_cast<uint32_t>(ExecResult::Outcome::StepLimitExceeded))
+    return std::numeric_limits<double>::infinity();
+  // Normal returns and traps both leave w meaningful (same policy as
+  // instr::IRWeakDistance).
+  return fromBits(RawGlob[WIdx]);
 }
 
 double JITWeakDistance::operator()(const std::vector<double> &X) {
   assert(X.size() == JF.VF->NumArgs && "input dimension mismatch");
-  RoundingScope Rounding(Opts.Rounding);
-  runNative(X.data());
-  if (Last.Kind == ExecResult::Outcome::StepLimitExceeded)
-    return std::numeric_limits<double>::infinity();
-  // Normal returns and traps both leave w meaningful (same policy as
-  // instr::IRWeakDistance).
-  return Ctx.globalSlots()[WIdx].asDouble();
+  RoundingScope Scope(Rounding);
+  return evalNative(X.data());
 }
 
 void JITWeakDistance::evalBatch(const double *Xs, std::size_t K,
                                 double *Fs) {
-  if (Ctx.observer()) {
-    // Observed runs must see events in scalar evaluation order.
-    core::WeakDistance::evalBatch(Xs, K, Fs);
-    return;
-  }
-  if (K == 0)
-    return;
   // One rounding-mode switch for the block; each lane is then exactly
   // the scalar evaluation, so results are bit-identical by construction.
-  RoundingScope Rounding(Opts.Rounding);
+  RoundingScope Scope(Rounding);
   const unsigned N = JF.VF->NumArgs;
-  for (std::size_t L = 0; L < K; ++L) {
-    runNative(Xs + L * N);
-    Fs[L] = Last.Kind == ExecResult::Outcome::StepLimitExceeded
-                ? std::numeric_limits<double>::infinity()
-                : Ctx.globalSlots()[WIdx].asDouble();
-  }
+  for (std::size_t L = 0; L < K; ++L)
+    Fs[L] = evalNative(Xs + L * N);
 }
 
 //===----------------------------------------------------------------------===//

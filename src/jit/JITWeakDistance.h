@@ -48,9 +48,8 @@ exec::ExecResult run(const CompiledModule &JM, const CompiledFunction &JF,
 
 /// Persistent-state native executor — the jit tier's analogue of
 /// vm::Machine. Binds a module and context once, then serves repeated
-/// runs without re-deriving per-call state: the JitRT invariants, the
-/// callee arena, and a per-function frame image (zeros + consts, ready
-/// to memcpy) are built once and reused. Observable semantics are
+/// runs without re-deriving per-call state: the JitRT invariants and the
+/// callee arena are built once and reused. Observable semantics are
 /// exactly jit::run's — typed globals are mirrored in before and
 /// written back after every run, the rounding scope wraps each call,
 /// and results are bit-for-bit identical.
@@ -70,12 +69,17 @@ private:
   std::vector<uint64_t> RawGlob; ///< 8-byte payload per global slot.
   std::vector<Reg> Frame;        ///< Subject frame (arena serves callees).
   std::vector<Reg> Arena;        ///< Callee frames, pre-sized.
-  std::vector<std::vector<Reg>> FrameImages; ///< Lazy, per function.
 };
 
-/// One native weak-distance evaluator: owns its ExecContext, raw global
-/// mirror, frame, and callee arena, so SearchEngine workers never share
-/// mutable state.
+/// One native weak-distance evaluator: owns its site-state snapshot,
+/// raw global mirror, frame, and callee arena, so SearchEngine workers
+/// never share mutable state. An evaluation does three things: copy the
+/// reset global image into the mirror and enter the subject frame (the
+/// frame contract every tier shares: args and consts written, alloca
+/// slots zeroed — the consts once, since no code writes them), run the
+/// native entry, and read w — or +inf on a step limit — straight from
+/// the mirror. Nothing is written back to typed globals and no
+/// ExecResult is built.
 class JITWeakDistance final : public core::WeakDistance {
 public:
   /// \p JM (and the vm module it was emitted from) must outlive the
@@ -88,38 +92,27 @@ public:
   double operator()(const std::vector<double> &X) override;
 
   /// Native batch mode: one rounding-mode switch for the whole block,
-  /// then a native run per lane (each observationally identical to the
-  /// scalar evaluation). With an observer attached the call degrades to
-  /// the scalar loop so event order is preserved, like the VM tier.
+  /// then a native run per lane (each identical to the scalar
+  /// evaluation).
   void evalBatch(const double *Xs, std::size_t K, double *Fs) override;
 
   unsigned preferredBatch() const override { return 32; }
 
   std::string name() const override { return JF.VF->Source->name(); }
 
-  /// State of the most recent evaluation (same contract as the VM's).
-  const exec::ExecResult &lastResult() const { return Last; }
-  exec::ExecContext &context() { return Ctx; }
-
 private:
-  /// One native run over the staged raw-global mirror; fills Last.
-  void runNative(const double *Args);
+  /// One native evaluation at \p Args under the installed rounding mode.
+  double evalNative(const double *Args);
 
-  const CompiledModule &JM;
   const CompiledFunction &JF;
   unsigned WIdx;
-  double WInit;
-  exec::ExecContext Ctx;
-  exec::ExecOptions Opts;
-  exec::ExecResult Last;
+  exec::ExecContext Ctx; ///< Owns the site-disabled table RT points into.
+  exec::RoundingMode Rounding;
   NativeFn Entry;                ///< Resolved once in the constructor.
   JitRT RT;                      ///< Invariant fields filled once.
   std::vector<uint64_t> RawGlob; ///< 8-byte payload per global slot.
   std::vector<Reg> Frame;        ///< Subject frame (arena serves callees).
   std::vector<Reg> Arena;        ///< Callee frames, pre-sized — never grows.
-  /// The subject frame's initial contents (zeros + consts): memcpy'd
-  /// into Frame per evaluation, then the args are poked on top.
-  std::vector<Reg> FrameImage;
   /// Raw mirror of the evaluation precondition — globals reset to their
   /// initializers with w seeded to WInit. resetGlobals() is
   /// deterministic, so one pull at construction replaces the per-call

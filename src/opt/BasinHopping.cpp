@@ -138,24 +138,22 @@ MinimizeResult BasinHopping::minimize(Objective &Obj,
 
   MinimizeOptions InnerOpts = Opts;
 
-  auto Descend = [&](const std::vector<double> &From) {
-    MinimizeResult R = Inner->minimize(Obj, From, Rand, InnerOpts);
-    // The inner harvest reports the global best; re-evaluate its endpoint
-    // locality by just using the best-so-far (monotone, adequate for the
-    // Metropolis state).
-    return std::pair<std::vector<double>, double>(R.X, R.F);
-  };
-
-  auto [X, F] = Descend(Start);
+  // The inner harvest reports the global best; the Metropolis state just
+  // uses that best-so-far (monotone, adequate). Endpoints are moved and
+  // swapped, never copied, and one proposal buffer serves every hop.
+  MinimizeResult Cur = Inner->minimize(Obj, Start, Rand, InnerOpts);
+  std::vector<double> X = std::move(Cur.X);
+  double F = Cur.F;
 
   double StepBits = static_cast<double>(Opts.StepBits);
   unsigned Accepted = 0, Proposed = 0;
 
+  std::vector<double> Proposal(Dim);
   for (unsigned Hop = 0; Hop < Opts.Hops && !Obj.done(); ++Hop) {
-    std::vector<double> Proposal(Dim);
     propose(Proposal.data(), X.data(), Dim, StepBits, Rand);
 
-    auto [XNew, FNew] = Descend(Proposal);
+    MinimizeResult New = Inner->minimize(Obj, Proposal, Rand, InnerOpts);
+    const double FNew = New.F;
     ++Proposed;
 
     bool Accept = FNew <= F;
@@ -164,7 +162,7 @@ MinimizeResult BasinHopping::minimize(Objective &Obj,
       Accept = Rand.chance(std::exp(Ratio));
     }
     if (Accept) {
-      X = std::move(XNew);
+      X.swap(New.X);
       F = FNew;
       ++Accepted;
     }

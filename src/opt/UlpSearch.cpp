@@ -47,11 +47,13 @@ MinimizeResult UlpPatternSearch::minimize(Objective &Obj,
   // term); diagonal moves un-stick it.
   double JointStep = Dim >= 2 ? std::ldexp(1.0, 16) : 0.0;
   unsigned Patterns = Dim <= 6 ? (1u << Dim) : 64;
+  // Every pattern overwrites all of Candidate, so one buffer serves every
+  // attempt; an improvement swaps it into X.
+  std::vector<double> Candidate(Dim);
   auto JointAttempt = [&]() -> bool {
     int64_t Delta = static_cast<int64_t>(JointStep);
     for (unsigned Pattern = 0; Pattern < Patterns && !Exhausted();
          ++Pattern) {
-      std::vector<double> Candidate(Dim);
       for (unsigned I = 0; I < Dim; ++I) {
         bool Neg = Dim <= 6 ? ((Pattern >> I) & 1u) : Rand.chance(0.5);
         Candidate[I] = clampedFromOrderedBits(
@@ -61,7 +63,7 @@ MinimizeResult UlpPatternSearch::minimize(Objective &Obj,
         continue;
       double FNew = Obj.eval(Candidate);
       if (FNew < F) {
-        X = std::move(Candidate);
+        X.swap(Candidate);
         F = FNew;
         return true;
       }

@@ -540,6 +540,214 @@ TEST(JITEquivalenceTest, BatchEvaluationMatchesScalar) {
     EXPECT_EQ(bitsOf(Want[L]), bitsOf(Got[L])) << Xs[L];
 }
 
+//===----------------------------------------------------------------------===//
+// Frame contract: one long-lived native evaluator, many evaluations
+//
+// Every tier enters a frame the same way: args and consts written, alloca
+// slots zeroed, result registers left as the previous run left them (IR
+// dominance guarantees they are written before they are read). These
+// subjects make a stale register or slot visible: a slot read before it
+// is stored on some path, a value carried around a loop through a slot,
+// and calls into a callee frame — with trapping and step-limited
+// evaluations between normal ones.
+//===----------------------------------------------------------------------===//
+
+const char *FrameContractIr = R"(
+module "framecontract"
+global @w: double = 0.0
+func @sq(%a: double) -> double {
+entry:
+  %s = alloca double
+  %c = fcmp.lt %a, 0.0
+  condbr %c, neg, join
+neg:
+  %n = fmul %a, 0.5
+  store %s, %n
+  br join
+join:
+  %v = load %s
+  %r = fmul %a, %a
+  %t = fadd %r, %v
+  ret %t
+}
+func @slot(%x: double) -> double {
+entry:
+  %s = alloca double
+  %c = fcmp.gt %x, 1.0
+  condbr %c, set, use
+set:
+  %y = fmul %x, 3.0
+  store %s, %y
+  br use
+use:
+  %v = load %s
+  %d = fsub %v, %x
+  %keep = fcmp.lt %x, -5.0
+  condbr %keep, done, write
+write:
+  storeg @w, %d
+  br done
+done:
+  ret %d
+}
+func @loop(%x: double) -> double {
+entry:
+  %acc = alloca double
+  %i = alloca double
+  %bad = fcmp.lt %x, -100.0
+  condbr %bad, boom, head
+boom:
+  storeg @w, %x
+  trap 7
+head:
+  %iv = load %i
+  %c = fcmp.lt %iv, %x
+  condbr %c, body, exit
+body:
+  %a = load %acc
+  %a2 = fadd %a, %iv
+  %a3 = fmul %a2, 0.75
+  store %acc, %a3
+  %i2 = fadd %iv, 1.0
+  store %i, %i2
+  br head
+exit:
+  %r = load %acc
+  storeg @w, %r
+  ret %r
+}
+func @caller(%x: double, %y: double) -> double {
+entry:
+  %h = call @sq(%x)
+  %l = call @loop(%y)
+  %d = fsub %h, %l
+  storeg @w, %d
+  ret %d
+}
+)";
+
+/// Inputs that alternate paths, with traps (x < -100) and step-limited
+/// runs (x >= 1e3 loops past the budget) between normal evaluations.
+std::vector<std::vector<double>> frameContractInputs(unsigned Dim) {
+  const std::vector<double> Pattern = {5.0,  0.5,  -7.0, 12.25, -250.0,
+                                       2.0,  -0.0, 1e4,  3.5,   0.25,
+                                       1e300, -1.5, 40.0, -1e9,  9.0,
+                                       -3.0, 1.0,  17.5, 0.0,   -8.5};
+  std::vector<std::vector<double>> Xs;
+  for (size_t K = 0; K < Pattern.size(); ++K) {
+    std::vector<double> X(Dim);
+    for (unsigned D = 0; D < Dim; ++D)
+      X[D] = Pattern[(K + 7 * D) % Pattern.size()];
+    Xs.push_back(std::move(X));
+  }
+  return Xs;
+}
+
+TEST(JITFrameContractTest, LongLivedEvaluatorsMatchFreshInterpreterRuns) {
+  if (!jit::available())
+    GTEST_SKIP() << "no native tier on this host";
+  auto Parsed = ir::parseModule(FrameContractIr);
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.error();
+  ir::Module &M = **Parsed;
+  const ir::GlobalVar *W = M.globalByName("w");
+  ASSERT_NE(W, nullptr);
+  exec::Engine E(M);
+  exec::ExecContext Parent(M);
+  exec::ExecOptions Opts;
+  Opts.MaxSteps = 5'000;
+  const double WInit = 42.0;
+
+  for (const char *Name : {"slot", "loop", "caller"}) {
+    SCOPED_TRACE(Name);
+    const ir::Function *F = M.functionByName(Name);
+    ASSERT_NE(F, nullptr);
+    vm::FactoryBundle JIT = vm::makeWeakDistanceFactory(
+        vm::EngineKind::JIT, E, F, W, WInit, Parent, Opts);
+    vm::FactoryBundle VM = vm::makeWeakDistanceFactory(
+        vm::EngineKind::VM, E, F, W, WInit, Parent, Opts);
+    ASSERT_EQ(JIT.Effective, vm::EngineKind::JIT) << JIT.FallbackReason;
+    ASSERT_EQ(VM.Effective, vm::EngineKind::VM) << VM.FallbackReason;
+    std::unique_ptr<core::WeakDistance> Native = JIT.Factory->make();
+    std::unique_ptr<core::WeakDistance> Batched = JIT.Factory->make();
+    std::unique_ptr<core::WeakDistance> Compiled = VM.Factory->make();
+
+    const unsigned Dim = F->numArgs();
+    const std::vector<std::vector<double>> Xs = frameContractInputs(Dim);
+    std::vector<double> Want, Packed;
+    unsigned Diverged = 0, Trapped = 0;
+    for (const std::vector<double> &X : Xs) {
+      // A fresh interpreter run: its frame and globals start clean.
+      exec::ExecContext Fresh(M);
+      instr::IRWeakDistance Ref(E, F, W, WInit, Fresh, Opts);
+      const double WRef = Ref(X);
+      Diverged += Ref.lastResult().Kind ==
+                  exec::ExecResult::Outcome::StepLimitExceeded;
+      Trapped += Ref.lastResult().trapped();
+      Want.push_back(WRef);
+      Packed.insert(Packed.end(), X.begin(), X.end());
+      EXPECT_EQ(bitsOf(WRef), bitsOf((*Native)(X))) << X[0] << " [jit]";
+      EXPECT_EQ(bitsOf(WRef), bitsOf((*Compiled)(X))) << X[0] << " [vm]";
+    }
+    // @slot cannot trap or diverge; the other two must do both.
+    if (std::string(Name) != "slot") {
+      EXPECT_GT(Diverged, 0u);
+      EXPECT_GT(Trapped, 0u);
+    }
+
+    // Batched lanes, in blocks that mix traps and step limits with
+    // normal lanes, on a second long-lived native evaluator and on the
+    // ones the scalar calls above already used.
+    for (core::WeakDistance *Eval :
+         {Batched.get(), Native.get(), Compiled.get()}) {
+      std::vector<double> Got(Xs.size());
+      for (size_t At = 0; At < Xs.size(); At += 3) {
+        const size_t K = std::min<size_t>(3, Xs.size() - At);
+        Eval->evalBatch(Packed.data() + At * Dim, K, Got.data() + At);
+      }
+      for (size_t L = 0; L < Xs.size(); ++L)
+        EXPECT_EQ(bitsOf(Want[L]), bitsOf(Got[L])) << "lane " << L;
+    }
+  }
+}
+
+TEST(JITFrameContractTest, RunnerAndRunReuseFramesLikeTheInterpreter) {
+  if (!jit::available())
+    GTEST_SKIP() << "no native tier on this host";
+  auto Parsed = ir::parseModule(FrameContractIr);
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.error();
+  ir::Module &M = **Parsed;
+  exec::Engine E(M);
+  vm::CompiledModule CM = vm::compile(M);
+  jit::CompiledModule JM = jit::compile(CM);
+  exec::ExecOptions Opts;
+  Opts.MaxSteps = 5'000;
+  exec::ExecContext CtxI(M), CtxR(M), CtxJ(M);
+  jit::Runner Run(JM, CtxR, Opts);
+
+  for (const char *Name : {"slot", "loop", "caller"}) {
+    const ir::Function *F = M.functionByName(Name);
+    const jit::CompiledFunction *JF = JM.lookup(F);
+    ASSERT_TRUE(JF && JF->Ok) << Name;
+    for (const std::vector<double> &X :
+         frameContractInputs(F->numArgs())) {
+      std::vector<exec::RTValue> Args;
+      for (double V : X)
+        Args.push_back(exec::RTValue::ofDouble(V));
+      const std::string Where = std::string(Name) + " at " +
+                                std::to_string(X[0]);
+      CtxI.resetGlobals();
+      CtxR.resetGlobals();
+      CtxJ.resetGlobals();
+      exec::ExecResult RI = E.run(F, Args, CtxI, Opts);
+      expectSameResult(RI, Run.run(*JF, Args), Where + " [runner]");
+      expectSameResult(RI, jit::run(JM, *JF, Args, CtxJ, Opts),
+                       Where + " [run]");
+      EXPECT_EQ(globalBits(CtxI, M), globalBits(CtxR, M)) << Where;
+      EXPECT_EQ(globalBits(CtxI, M), globalBits(CtxJ, M)) << Where;
+    }
+  }
+}
+
 TEST(JITFallbackTest, TinyCodeLimitRejectsAndFallsBackToVM) {
   auto Parsed = ir::parseModule(QuickstartIr);
   ASSERT_TRUE(Parsed.hasValue()) << Parsed.error();
