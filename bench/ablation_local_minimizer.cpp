@@ -34,13 +34,13 @@ Outcome trial(core::WeakDistance &W, core::AnalysisProblem &Problem,
   Outcome Out;
   opt::BasinHopping Backend;
   for (unsigned T = 0; T < Trials; ++T) {
-    core::Reduction Red(W, &Problem);
-    core::ReductionOptions Opts;
+    core::SearchEngine Engine(W, &Problem);
+    core::SearchOptions Opts;
     Opts.Seed = 0xab1a + T;
     Opts.MaxEvals = 60'000;
     Opts.Starts = 10;
     Opts.MinOpts.Local = Local;
-    core::ReductionResult R = Red.solve(Backend, Opts);
+    core::SearchResult R = Engine.solve(Backend, Opts);
     if (R.Found) {
       ++Out.Solved;
       Out.EvalsOnSuccess += R.Evals;

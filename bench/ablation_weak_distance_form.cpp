@@ -36,12 +36,12 @@ Outcome trial(BuildFn Build, instr::BoundaryForm Form, unsigned Trials) {
     ir::Module M;
     ir::Function *F = Build(M);
     analyses::BoundaryAnalysis BVA(M, *F, Form);
-    core::Reduction Red(BVA.weak(), &BVA.problem());
-    core::ReductionOptions Opts;
+    core::SearchEngine Engine(BVA.weak(), &BVA.problem());
+    core::SearchOptions Opts;
     Opts.Seed = 0xf02a + T;
     Opts.MaxEvals = 60'000;
     Opts.Starts = 10;
-    core::ReductionResult R = Red.solve(Backend, Opts);
+    core::SearchResult R = Engine.solve(Backend, Opts);
     if (R.Found) {
       ++Out.Solved;
       Out.EvalsOnSuccess += R.Evals;

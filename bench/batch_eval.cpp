@@ -157,7 +157,9 @@ int main(int argc, char **argv) {
   {
     ir::Module M;
     subjects::Fig2 P = subjects::buildFig2(M);
-    analyses::BoundaryAnalysis BVA(M, *P.F); // VM tier by default
+    // Pinned to the VM: the tiered default promotes to the JIT.
+    analyses::BoundaryAnalysis BVA(M, *P.F, instr::BoundaryForm::Product,
+                                   vm::EngineKind::VM);
     KernelReport R = benchKernel(BVA.factory(), Budget, Reps);
     Fig2Speedup = R.Speedup;
     AllIdentical = AllIdentical && R.Identical;

@@ -148,7 +148,9 @@ BENCHMARK(BM_VMBessel);
 void BM_VMBoundaryWeakDistanceEval(benchmark::State &State) {
   ir::Module M;
   subjects::Fig2 P = subjects::buildFig2(M);
-  analyses::BoundaryAnalysis BVA(M, *P.F); // VM is the default tier.
+  // Pinned to the VM: the tiered default promotes to the JIT.
+  analyses::BoundaryAnalysis BVA(M, *P.F, instr::BoundaryForm::Product,
+                                 vm::EngineKind::VM);
   std::unique_ptr<core::WeakDistance> W = BVA.factory().make();
   double X = 0.25;
   for (auto _ : State) {

@@ -60,9 +60,9 @@ std::set<int> BoundaryAnalysis::hitsFor(const std::vector<double> &X) {
   return Obs.hits();
 }
 
-core::ReductionResult
+core::SearchResult
 BoundaryAnalysis::findOne(opt::Optimizer &Backend,
-                          const core::ReductionOptions &Opts,
+                          const core::SearchOptions &Opts,
                           opt::SampleRecorder *Recorder) {
   Factory.beginRun();
   core::SearchEngine Engine(*Factory.Factory, Oracle.get());

@@ -62,9 +62,9 @@ bool PathReachability::follows(const std::vector<double> &X) {
   return true;
 }
 
-core::ReductionResult
+core::SearchResult
 PathReachability::findOne(opt::Optimizer &Backend,
-                          const core::ReductionOptions &Opts,
+                          const core::SearchOptions &Opts,
                           opt::SampleRecorder *Recorder) {
   Factory.beginRun();
   core::SearchEngine Engine(*Factory.Factory, Oracle.get());

@@ -21,7 +21,6 @@
 #include <cmath>
 #include <csignal>
 #include <ctime>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -58,28 +57,6 @@ bool wdm::api::suiteModeByName(const std::string &Name, SuiteMode &Out) {
        {SuiteMode::InProcess, SuiteMode::Subprocess, SuiteMode::Dry}) {
     if (Name == suiteModeName(M)) {
       Out = M;
-      return true;
-    }
-  }
-  return false;
-}
-
-const char *wdm::api::suiteDispatchName(SuiteDispatch D) {
-  switch (D) {
-  case SuiteDispatch::WorkStealing:
-    return "steal";
-  case SuiteDispatch::RoundRobin:
-    return "roundrobin";
-  }
-  return "?";
-}
-
-bool wdm::api::suiteDispatchByName(const std::string &Name,
-                                   SuiteDispatch &Out) {
-  for (SuiteDispatch D :
-       {SuiteDispatch::WorkStealing, SuiteDispatch::RoundRobin}) {
-    if (Name == suiteDispatchName(D)) {
-      Out = D;
       return true;
     }
   }
@@ -872,8 +849,8 @@ Expected<SuiteReport> JobScheduler::run() {
 
   // -- Execute -----------------------------------------------------------
   // RunJob is the whole per-job lifecycle (attempts, retries, terminal
-  // event); the dispatch policies below only decide which shard calls
-  // it for which index. Returns false when the shard should stop
+  // event); the dispatch below only decides which shard calls it for
+  // which index. Returns false when the shard should stop
   // dispatching (shutdown/fail-fast).
   auto RunJob = [&](size_t I) -> bool {
     {
@@ -1166,57 +1143,16 @@ Expected<SuiteReport> JobScheduler::run() {
   };
 
   // -- Dispatch ----------------------------------------------------------
-  // WorkStealing (default): pending jobs are dealt round-robin into
-  // per-shard deques; a shard pops its own front and, when dry, steals
-  // from the back of the nearest non-empty victim. RoundRobin keeps the
-  // legacy shared-counter pop as the bit-identity baseline (per-job
-  // Reports are identical either way; only shard assignment moves).
-  const bool Stealing = Opts.Dispatch == SuiteDispatch::WorkStealing;
+  // Shards pop job indexes from one shared counter. Per-job Reports are
+  // identical at any shard count: every worker executes the identical
+  // canonical spec text, only which shard ran a job changes.
   std::atomic<size_t> Next{0};
-  std::vector<std::deque<size_t>> Deques(Stealing ? Shards : 0);
-  std::vector<std::mutex> DeqMu(Stealing ? Shards : 0);
-  if (Stealing) {
-    size_t Deal = 0;
-    for (size_t I = 0; I < Jobs.size(); ++I)
-      if (Rep.Results[I].S == JobResult::State::Listed)
-        Deques[Deal++ % Shards].push_back(I);
-  }
   auto Worker = [&](unsigned Shard) {
     obs::setThreadTrackName(formatf("shard %u", Shard));
-    if (!Stealing) {
-      for (size_t I = Next.fetch_add(1); I < Jobs.size();
-           I = Next.fetch_add(1))
-        if (!RunJob(I))
-          break;
-      return;
-    }
-    while (true) {
-      size_t I = 0;
-      bool Got = false;
-      {
-        std::lock_guard<std::mutex> Lock(DeqMu[Shard]);
-        if (!Deques[Shard].empty()) {
-          I = Deques[Shard].front();
-          Deques[Shard].pop_front();
-          Got = true;
-        }
-      }
-      // Steal scan: deterministic per-shard victim order (next shard
-      // first), back of the victim's deque — the jobs its owner would
-      // reach last.
-      for (unsigned K = 1; K < Shards && !Got; ++K) {
-        unsigned V = (Shard + K) % Shards;
-        std::lock_guard<std::mutex> Lock(DeqMu[V]);
-        if (!Deques[V].empty()) {
-          I = Deques[V].back();
-          Deques[V].pop_back();
-          Got = true;
-          obs::count("suite.steals");
-        }
-      }
-      if (!Got || !RunJob(I))
+    for (size_t I = Next.fetch_add(1); I < Jobs.size();
+         I = Next.fetch_add(1))
+      if (!RunJob(I))
         break;
-    }
   };
 
   if (Shards == 1) {

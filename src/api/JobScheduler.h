@@ -54,22 +54,8 @@ const char *suiteModeName(SuiteMode M);
 /// Parses "inprocess" | "subprocess" | "dry"; false on unknown names.
 bool suiteModeByName(const std::string &Name, SuiteMode &Out);
 
-/// How pending jobs reach shards. WorkStealing (the default) deals jobs
-/// round-robin into per-shard deques; a dry shard steals from a
-/// victim's back, so bursts of mixed-size jobs keep every shard busy.
-/// RoundRobin is the legacy shared-counter pop, kept as the determinism
-/// baseline: per-job Reports are bit-identical across both (and across
-/// any shard count) because every worker executes the identical
-/// canonical spec text — only which shard ran a job changes.
-enum class SuiteDispatch : uint8_t { WorkStealing, RoundRobin };
-
-const char *suiteDispatchName(SuiteDispatch D);
-/// Parses "steal" | "roundrobin"; false on unknown names.
-bool suiteDispatchByName(const std::string &Name, SuiteDispatch &Out);
-
 struct SuiteRunOptions {
   SuiteMode Mode = SuiteMode::InProcess;
-  SuiteDispatch Dispatch = SuiteDispatch::WorkStealing;
   /// Concurrent jobs (driver threads or child processes). 0 = one per
   /// hardware thread; clamped to the number of pending jobs.
   unsigned Shards = 1;

@@ -57,7 +57,9 @@ struct StartTask {
 };
 
 struct StartOutcome {
-  bool Ran = false; ///< False only for starts skipped past the winner.
+  /// False for starts skipped past the winner or past an exhausted
+  /// budget.
+  bool Ran = false;
   uint64_t Evals = 0;
   double F = 0;
   std::vector<double> X;
@@ -193,9 +195,9 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
     MinOpts.Hi = Opts.StartHi;
   }
 
-  // Draw every start from the master stream in start-index order. This
-  // is the exact draw sequence of the historical sequential loop, so the
-  // same seed keeps producing the same starting points.
+  // Draw every start from the master stream in start-index order
+  // (Dim + 1 draws per start), so the same seed produces the same
+  // starting points at every thread count.
   std::vector<StartTask> Tasks(Opts.Starts);
   RNG AssignRand(Opts.Seed ^ 0xa5a5'5a5a'0f0f'f0f0ull);
   for (unsigned K = 0; K < Opts.Starts; ++K) {
@@ -214,98 +216,35 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
       Opts.Threads ? Opts.Threads
                    : std::max(1u, std::thread::hardware_concurrency());
   // No factory = no thread-local evaluators; a recorder needs the
-  // deterministic sequential sample order; a clamped budget (Starts >
-  // MaxEvals) relies on the sequential loop's budget-exhaustion exit.
+  // deterministic sample order of a single worker; a clamped budget
+  // (Starts > MaxEvals) hands each start what the earlier ones left,
+  // which only a single worker knows in start order.
   if (!Factory || Recorder || BudgetClamped)
     Threads = 1;
   Threads = std::min<unsigned>(Threads, std::max(1u, Opts.Starts));
 
-  if (Threads <= 1) {
-    // Sequential path: bit-for-bit the historical Reduction::solve loop.
-    std::unique_ptr<WeakDistance> Minted;
-    WeakDistance *Eval = W;
-    if (!Eval) {
-      Minted = Factory->make();
-      Eval = Minted.get();
-    }
-    // Batch = auto resolves against the evaluator's tier; since every
-    // minted evaluator shares the factory's tier, the resolution is
-    // identical at any thread count.
-    opt::MinimizeOptions SeqOpts = MinOpts;
-    SeqOpts.Batch = Opts.Batch ? Opts.Batch : Eval->preferredBatch();
-    bool First = true;
-    for (unsigned K = 0;
-         K < Opts.Starts && Result.Evals < Opts.MaxEvals; ++K) {
-      ++Result.StartsUsed;
-
-      // Fresh objective per start so a rejected (unsound) zero does not
-      // freeze the best-so-far at 0 and halt all further exploration.
-      opt::Objective Obj(
-          [Eval](const std::vector<double> &X) { return (*Eval)(X); },
-          Dim);
-      Obj.setBatchFn(
-          [Eval](const double *Xs, std::size_t NL, double *Fs) {
-            Eval->evalBatch(Xs, NL, Fs);
-          });
-      Obj.MaxEvals = std::min<uint64_t>(BudgetPerStart,
-                                        Opts.MaxEvals - Result.Evals);
-      Obj.setRecorder(Recorder);
-
-      opt::MinimizeResult MR = Tasks[K].Backend->minimize(
-          Obj, Tasks[K].Point, Tasks[K].Child, SeqOpts);
-      Result.Evals += MR.Evals;
-
-      if (First || MR.F < Result.WStar) {
-        Result.WStar = MR.F;
-        Result.WStarAt = MR.X;
-        First = false;
-      }
-
-      countStart(MR.Evals, Tasks[K].Backend->name());
-      if (Ticks)
-        emitTick(Result.Evals, Result.WStar, Result.StartsUsed,
-                 Tasks[K].Backend->name(), false);
-
-      if (!MR.ReachedTarget)
-        continue;
-
-      // Candidate zero: Algorithm 2 step (3), optionally hardened by the
-      // Section 5.2 soundness check.
-      if (Opts.VerifySolutions && Problem) {
-        countVerifyCall();
-        if (!Problem->contains(MR.X)) {
-          ++Result.UnsoundCandidates;
-          countUnsound();
-          continue;
-        }
-      }
-      Result.Found = true;
-      Result.Witness = MR.X;
-      if (Ticks)
-        emitTick(Result.Evals, Result.WStar, Result.StartsUsed,
-                 Tasks[K].Backend->name(), true);
-      return Result;
-    }
-    if (Ticks)
-      emitTick(Result.Evals, Result.WStar, Result.StartsUsed, "", true);
-    return Result;
-  }
-
-  // Parallel path. Workers pull start indexes from a shared counter;
-  // each start runs against the worker's own evaluator with a fixed
-  // budget slice. The lowest-indexed verified zero is broadcast through
-  // FoundIdx: higher-indexed starts cancel (their outcome can no longer
-  // reach the aggregate), lower-indexed ones run to completion so the
-  // index-ordered aggregation below reproduces the sequential result.
+  // Workers pull start indexes from a shared counter; each start runs
+  // against the worker's own evaluator (the shared W without a factory)
+  // with the budget slice min(BudgetPerStart, MaxEvals - evals of
+  // finished starts). The min only binds under a clamped budget: else
+  // the other starts spend at most (Starts-1)*BudgetPerStart <=
+  // MaxEvals - BudgetPerStart. The lowest-indexed verified zero is
+  // broadcast through FoundIdx: higher-indexed starts cancel (their
+  // outcome can no longer reach the aggregate), lower-indexed ones run
+  // to completion so the index-ordered aggregation below is the same at
+  // every thread count.
   Result.ThreadsUsed = Threads;
   std::vector<std::unique_ptr<WeakDistance>> Evaluators;
-  Evaluators.reserve(Threads);
-  for (unsigned I = 0; I < Threads; ++I)
-    Evaluators.push_back(Factory->make());
+  if (Factory) {
+    Evaluators.reserve(Threads);
+    for (unsigned I = 0; I < Threads; ++I)
+      Evaluators.push_back(Factory->make());
+  }
 
   std::vector<StartOutcome> Outcomes(Opts.Starts);
   std::atomic<unsigned> NextStart{0};
   std::atomic<unsigned> FoundIdx{UINT_MAX};
+  std::atomic<uint64_t> SpentEvals{0}; ///< Evals of finished starts.
   std::mutex VerifyMu;
 
   // Tick state shared by the workers (progress-reporting only — the
@@ -318,7 +257,9 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
   bool TickHaveBest = false;
 
   auto WorkerBody = [&](unsigned Tid) {
-    WeakDistance &Eval = *Evaluators[Tid];
+    WeakDistance &Eval = Factory ? *Evaluators[Tid] : *W;
+    // Batch = auto resolves against the evaluator's tier; every minted
+    // evaluator shares the factory's tier, so it is the same per worker.
     opt::MinimizeOptions WorkerOpts = MinOpts;
     WorkerOpts.Batch = Opts.Batch ? Opts.Batch : Eval.preferredBatch();
     for (;;) {
@@ -329,48 +270,58 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
       // so this start can never be aggregated. Skip it entirely.
       if (K > FoundIdx.load(std::memory_order_acquire))
         continue;
+      const uint64_t Spent = SpentEvals.load(std::memory_order_relaxed);
+      if (Spent >= Opts.MaxEvals)
+        return; // Budget exhausted: no later start runs either.
 
-      StartOutcome &Out = Outcomes[K];
+      // Fresh objective per start so a rejected (unsound) zero does not
+      // freeze the best-so-far at 0 and halt all further exploration.
       opt::Objective Obj(
           [&Eval](const std::vector<double> &X) { return Eval(X); }, Dim);
       Obj.setBatchFn(
           [&Eval](const double *Xs, std::size_t NL, double *Fs) {
             Eval.evalBatch(Xs, NL, Fs);
           });
-      Obj.MaxEvals = BudgetPerStart;
-      Obj.StopHook = [&FoundIdx, K] {
-        return FoundIdx.load(std::memory_order_relaxed) < K;
-      };
+      Obj.MaxEvals = std::min(BudgetPerStart, Opts.MaxEvals - Spent);
+      Obj.setRecorder(Recorder);
+      if (Threads > 1)
+        Obj.StopHook = [&FoundIdx, K] {
+          return FoundIdx.load(std::memory_order_relaxed) < K;
+        };
       opt::MinimizeResult MR = Tasks[K].Backend->minimize(
           Obj, Tasks[K].Point, Tasks[K].Child, WorkerOpts);
+      SpentEvals.fetch_add(MR.Evals, std::memory_order_relaxed);
+      StartOutcome &Out = Outcomes[K];
       Out.Evals = MR.Evals;
       Out.F = MR.F;
-      Out.X = MR.X;
+      Out.X = std::move(MR.X);
       Out.ReachedTarget = MR.ReachedTarget;
       Out.Ran = true;
 
-      countStart(MR.Evals, Tasks[K].Backend->name());
+      countStart(Out.Evals, Tasks[K].Backend->name());
       if (Ticks) {
         std::lock_guard<std::mutex> Lock(TickMu);
-        TickEvals += MR.Evals;
+        TickEvals += Out.Evals;
         ++TickDone;
-        if (!TickHaveBest || MR.F < TickBestW) {
-          TickBestW = MR.F;
+        if (!TickHaveBest || Out.F < TickBestW) {
+          TickBestW = Out.F;
           TickHaveBest = true;
         }
         emitTick(TickEvals, TickBestW, TickDone,
                  Tasks[K].Backend->name(), false);
       }
 
-      if (!MR.ReachedTarget)
+      if (!Out.ReachedTarget)
         continue;
 
+      // Candidate zero: Algorithm 2 step (3), optionally hardened by the
+      // Section 5.2 soundness check.
       bool Sound = true;
       if (Opts.VerifySolutions && Problem) {
         countVerifyCall();
         // Membership oracles replay shared interpreter state; serialize.
         std::lock_guard<std::mutex> Lock(VerifyMu);
-        Sound = Problem->contains(MR.X);
+        Sound = Problem->contains(Out.X);
       }
       Out.Verified = Sound;
       if (!Sound)
@@ -391,13 +342,13 @@ SearchResult SearchEngine::solveWithRng(opt::Optimizer *Backend,
   for (std::thread &Th : Workers)
     Th.join();
 
-  // Index-ordered aggregation: walk starts exactly as the sequential
-  // loop would have, stopping at the first verified zero. Starts past
-  // the winner — run, cancelled, or skipped — contribute nothing.
+  // Index-ordered aggregation: walk starts in index order, stopping at
+  // the first verified zero. Starts past the winner — run, cancelled, or
+  // skipped — contribute nothing.
   for (unsigned K = 0; K < Opts.Starts; ++K) {
     const StartOutcome &Out = Outcomes[K];
     if (!Out.Ran)
-      break; // skipped ⇒ a verified zero exists at a lower index
+      break; // skipped ⇒ a lower index won, or the budget ran out
     ++Result.StartsUsed;
     Result.Evals += Out.Evals;
     if (Result.StartsUsed == 1 || Out.F < Result.WStar) {

@@ -28,9 +28,10 @@
 /// Determinism model: a start's outcome depends only on (its starting
 /// point, its child RNG, its backend, its budget slice) — never on which
 /// thread ran it or in what order starts finished. The winner is defined
-/// as the *lowest-indexed* start that produced a verified zero, exactly
-/// the start the historical sequential loop would have returned from, and
-/// only starts up to the winner contribute to the aggregate result.
+/// as the *lowest-indexed* start that produced a verified zero, and only
+/// starts up to the winner contribute to the aggregate result. One worker
+/// loop runs every solve; Threads = 1 is that loop on the caller's
+/// thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,11 +102,12 @@ struct SearchOptions {
   /// the search continues from the next start.
   bool VerifySolutions = true;
   /// Worker threads across which the starts are distributed. 0 = one per
-  /// hardware thread; 1 = fully sequential (bit-for-bit the historical
-  /// Reduction::solve loop). Clamped to 1 when the engine has no factory
-  /// to mint thread-local evaluators from, or when a SampleRecorder is
-  /// attached (recorders see samples in deterministic order only
-  /// sequentially).
+  /// hardware thread. Results are identical at every thread count.
+  /// Clamped to 1 when the engine has no factory to mint thread-local
+  /// evaluators from, when a SampleRecorder is attached (recorders see
+  /// samples in deterministic order only from one worker), or when
+  /// Starts > MaxEvals (each start then gets what the earlier ones left
+  /// of the budget).
   unsigned Threads = 0;
   /// Evaluation block size for the population backends (DE generations,
   /// RandomSearch draw blocks, BasinHopping's pure-MC rounds): candidate
@@ -145,7 +147,7 @@ struct SearchResult {
 class SearchEngine {
 public:
   /// Shared-evaluator mode: every start evaluates \p W. The engine cannot
-  /// mint thread-local evaluators, so runs are always sequential.
+  /// mint thread-local evaluators, so runs always use one worker.
   /// \p Problem may be null; then candidate verification is skipped and
   /// the caller owns soundness (pure Theorem 3.3 mode).
   SearchEngine(WeakDistance &W, AnalysisProblem *Problem);
@@ -155,8 +157,8 @@ public:
   SearchEngine(WeakDistanceFactory &Factory, AnalysisProblem *Problem);
 
   /// Runs the multi-start search with \p Backend (or Opts.Portfolio when
-  /// non-empty). An optional recorder sees every sample and forces the
-  /// run sequential.
+  /// non-empty). An optional recorder sees every sample and forces one
+  /// worker.
   SearchResult solve(opt::Optimizer &Backend, const SearchOptions &Opts,
                      opt::SampleRecorder *Recorder = nullptr);
 

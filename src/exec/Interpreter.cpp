@@ -10,10 +10,10 @@
 
 #include "exec/Interpreter.h"
 
+#include "exec/RoundingScope.h"
 #include "support/Casting.h"
 #include "support/FPUtils.h"
 
-#include <cfenv>
 #include <cmath>
 
 using namespace wdm;
@@ -61,41 +61,6 @@ const Engine::FunctionLayout &Engine::layoutOf(const Function *F) const {
 }
 
 namespace {
-
-int toFeRound(RoundingMode RM) {
-  switch (RM) {
-  case RoundingMode::NearestEven:
-    return FE_TONEAREST;
-  case RoundingMode::TowardZero:
-    return FE_TOWARDZERO;
-  case RoundingMode::Upward:
-    return FE_UPWARD;
-  case RoundingMode::Downward:
-    return FE_DOWNWARD;
-  }
-  return FE_TONEAREST;
-}
-
-/// RAII: installs a rounding mode for the duration of a run.
-class RoundingScope {
-public:
-  explicit RoundingScope(RoundingMode RM) : Saved(fegetround()) {
-    // fesetround rewrites both the x87 control word and MXCSR — tens of
-    // ns per eval. In the dominant case (ambient and requested mode are
-    // both to-nearest) both writes are skippable.
-    if (Saved != toFeRound(RM))
-      fesetround(toFeRound(RM));
-    else
-      Saved = -1;
-  }
-  ~RoundingScope() {
-    if (Saved != -1)
-      fesetround(Saved);
-  }
-
-private:
-  int Saved;
-};
 
 bool evalCmp(CmpPred P, double A, double B) {
   // C comparison semantics give exactly IEEE-754 ordered comparisons:

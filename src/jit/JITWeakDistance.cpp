@@ -6,12 +6,12 @@
 
 #include "jit/JITWeakDistance.h"
 
+#include "exec/RoundingScope.h"
 #include "obs/Telemetry.h"
 #include "support/FPUtils.h"
 
 #include <array>
 #include <cassert>
-#include <cfenv>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -36,44 +36,6 @@ std::string wdm::jit::engineNamesForErrors() {
 }
 
 namespace {
-
-// Same duplicate the VM keeps: the scalar and batch entry points install
-// the requested mode around the whole evaluation. The emitted SSE2 code
-// honors MXCSR, which fesetround also drives, so native arithmetic
-// rounds identically to the interpreter's.
-int toFeRound(RoundingMode RM) {
-  switch (RM) {
-  case RoundingMode::NearestEven:
-    return FE_TONEAREST;
-  case RoundingMode::TowardZero:
-    return FE_TOWARDZERO;
-  case RoundingMode::Upward:
-    return FE_UPWARD;
-  case RoundingMode::Downward:
-    return FE_DOWNWARD;
-  }
-  return FE_TONEAREST;
-}
-
-class RoundingScope {
-public:
-  explicit RoundingScope(RoundingMode RM) : Saved(fegetround()) {
-    // fesetround rewrites both the x87 control word and MXCSR — tens of
-    // ns per eval. In the dominant case (ambient and requested mode are
-    // both to-nearest) both writes are skippable.
-    if (Saved != toFeRound(RM))
-      fesetround(toFeRound(RM));
-    else
-      Saved = -1;
-  }
-  ~RoundingScope() {
-    if (Saved != -1)
-      fesetround(Saved);
-  }
-
-private:
-  int Saved;
-};
 
 void pullGlobalsRaw(const ExecContext &Ctx, std::vector<uint64_t> &Raw) {
   const RTValue *GS = Ctx.globalSlots();

@@ -12,10 +12,10 @@
 
 #include "vm/Machine.h"
 
+#include "exec/RoundingScope.h"
 #include "support/FPUtils.h"
 
 #include <cassert>
-#include <cfenv>
 #include <cmath>
 
 using namespace wdm;
@@ -32,43 +32,6 @@ using namespace wdm::exec;
 #endif
 
 namespace {
-
-int toFeRound(RoundingMode RM) {
-  switch (RM) {
-  case RoundingMode::NearestEven:
-    return FE_TONEAREST;
-  case RoundingMode::TowardZero:
-    return FE_TOWARDZERO;
-  case RoundingMode::Upward:
-    return FE_UPWARD;
-  case RoundingMode::Downward:
-    return FE_DOWNWARD;
-  }
-  return FE_TONEAREST;
-}
-
-/// RAII: installs a rounding mode for the duration of a run (identical to
-/// the interpreter's scope; duplicated because both live in anonymous
-/// namespaces of -frounding-math TUs).
-class RoundingScope {
-public:
-  explicit RoundingScope(RoundingMode RM) : Saved(fegetround()) {
-    // fesetround rewrites both the x87 control word and MXCSR — tens of
-    // ns per eval. In the dominant case (ambient and requested mode are
-    // both to-nearest) both writes are skippable.
-    if (Saved != toFeRound(RM))
-      fesetround(toFeRound(RM));
-    else
-      Saved = -1;
-  }
-  ~RoundingScope() {
-    if (Saved != -1)
-      fesetround(Saved);
-  }
-
-private:
-  int Saved;
-};
 
 /// The arithmetic of a FusedGRmwD superinstruction — exactly the fused
 /// source opcode's (this TU is -frounding-math, like the unfused path).

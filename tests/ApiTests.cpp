@@ -341,10 +341,10 @@ TEST(EquivalenceTest, BoundaryMatchesDirectOnQuickstart) {
   ir::Module &M = **Parsed;
   analyses::BoundaryAnalysis BVA(M, *M.functionByName("prog"));
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 2019;
   Opts.MaxEvals = 40'000;
-  core::ReductionResult Direct = BVA.findOne(Backend, Opts);
+  core::SearchResult Direct = BVA.findOne(Backend, Opts);
   ASSERT_TRUE(Direct.Found);
 
   // Declarative path with the same knobs.

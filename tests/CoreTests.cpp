@@ -1,10 +1,10 @@
-//===--- CoreTests.cpp - Reduction (Algorithm 2) tests -------------------------===//
+//===--- CoreTests.cpp - Algorithm 2 (weak-distance minimization) tests ---===//
 //
 // Part of the wdm project (PLDI 2019 weak-distance minimization repro).
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Reduction.h"
+#include "core/SearchEngine.h"
 #include "opt/BasinHopping.h"
 #include "opt/RandomSearch.h"
 
@@ -48,12 +48,12 @@ TEST(ReductionTest, FindsZeroOfSimpleWeakDistance) {
                1);
   LambdaProblem P([](const std::vector<double> &X) { return X[0] == 7.0; },
                   1);
-  Reduction Red(W, &P);
+  SearchEngine Engine(W, &P);
   opt::BasinHopping Backend;
-  ReductionOptions Opts;
+  SearchOptions Opts;
   Opts.Seed = 1;
   Opts.MaxEvals = 30'000;
-  ReductionResult R = Red.solve(Backend, Opts);
+  SearchResult R = Engine.solve(Backend, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.Witness[0], 7.0);
   EXPECT_EQ(R.UnsoundCandidates, 0u);
@@ -62,13 +62,13 @@ TEST(ReductionTest, FindsZeroOfSimpleWeakDistance) {
 TEST(ReductionTest, ReportsNotFoundOnPositiveFunction) {
   LambdaWeak W(
       [](const std::vector<double> &X) { return X[0] * X[0] + 0.5; }, 1);
-  Reduction Red(W, nullptr);
+  SearchEngine Engine(W, nullptr);
   opt::BasinHopping Backend;
-  ReductionOptions Opts;
+  SearchOptions Opts;
   Opts.Seed = 2;
   Opts.MaxEvals = 5'000;
   Opts.Starts = 4;
-  ReductionResult R = Red.solve(Backend, Opts);
+  SearchResult R = Engine.solve(Backend, Opts);
   EXPECT_FALSE(R.Found);
   EXPECT_GE(R.WStar, 0.5);
   EXPECT_LE(R.Evals, Opts.MaxEvals + 100);
@@ -87,13 +87,13 @@ TEST(ReductionTest, RejectsUnsoundZeros) {
       1);
   LambdaProblem P([](const std::vector<double> &X) { return X[0] == 3.0; },
                   1);
-  Reduction Red(W, &P);
+  SearchEngine Engine(W, &P);
   opt::BasinHopping Backend;
-  ReductionOptions Opts;
+  SearchOptions Opts;
   Opts.Seed = 3;
   Opts.MaxEvals = 60'000;
   Opts.Starts = 30;
-  ReductionResult R = Red.solve(Backend, Opts);
+  SearchResult R = Engine.solve(Backend, Opts);
   // Either it eventually hits exactly 3.0 (then Witness is verified), or
   // it reports not-found. In both cases every reported witness must be
   // genuine and rejected candidates must be counted.
@@ -113,13 +113,13 @@ TEST(ReductionTest, VerificationCanBeDisabled) {
         return true;
       },
       1);
-  Reduction Red(W, &P);
+  SearchEngine Engine(W, &P);
   opt::BasinHopping Backend;
-  ReductionOptions Opts;
+  SearchOptions Opts;
   Opts.Seed = 4;
   Opts.MaxEvals = 10'000;
   Opts.VerifySolutions = false;
-  ReductionResult R = Red.solve(Backend, Opts);
+  SearchResult R = Engine.solve(Backend, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(Calls, 0u);
 }
@@ -128,13 +128,13 @@ TEST(ReductionTest, RecorderSeesAllSamples) {
   LambdaWeak W(
       [](const std::vector<double> &X) { return std::fabs(X[0] - 1.0); },
       1);
-  Reduction Red(W, nullptr);
+  SearchEngine Engine(W, nullptr);
   opt::BasinHopping Backend;
   opt::VectorRecorder Rec;
-  ReductionOptions Opts;
+  SearchOptions Opts;
   Opts.Seed = 5;
   Opts.MaxEvals = 4'000;
-  ReductionResult R = Red.solve(Backend, Opts, &Rec);
+  SearchResult R = Engine.solve(Backend, Opts, &Rec);
   EXPECT_EQ(Rec.Samples.size(), R.Evals);
   EXPECT_GT(Rec.Samples.size(), 0u);
 }
@@ -146,15 +146,15 @@ TEST(ReductionTest, DeterministicAcrossRuns) {
           return std::fabs(std::sin(X[0]) + 0.3) + 0.001;
         },
         1);
-    Reduction Red(W, nullptr);
+    SearchEngine Engine(W, nullptr);
     opt::BasinHopping Backend;
-    ReductionOptions Opts;
+    SearchOptions Opts;
     Opts.Seed = 6;
     Opts.MaxEvals = 3'000;
-    return Red.solve(Backend, Opts);
+    return Engine.solve(Backend, Opts);
   };
-  ReductionResult A = Run();
-  ReductionResult B = Run();
+  SearchResult A = Run();
+  SearchResult B = Run();
   EXPECT_EQ(A.WStar, B.WStar);
   EXPECT_EQ(A.Evals, B.Evals);
   EXPECT_EQ(A.WStarAt, B.WStarAt);
@@ -175,13 +175,13 @@ TEST(ReductionTest, MultiDimensional) {
         return X[0] + X[1] == 10.0 && X[0] - X[1] == 4.0;
       },
       2);
-  Reduction Red(W, &P);
+  SearchEngine Engine(W, &P);
   opt::BasinHopping Backend;
-  ReductionOptions Opts;
+  SearchOptions Opts;
   Opts.Seed = 7;
   Opts.MaxEvals = 120'000;
   Opts.Starts = 12;
-  ReductionResult R = Red.solve(Backend, Opts);
+  SearchResult R = Engine.solve(Backend, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.Witness[0] + R.Witness[1], 10.0);
   EXPECT_EQ(R.Witness[0] - R.Witness[1], 4.0);

@@ -213,10 +213,10 @@ TEST(BoundaryDepthTest, MinUlpFormSolvesSinModel) {
     EXPECT_EQ(BVA.weak()({-Sin.refBoundary(I)}), 0.0);
   }
   opt::BasinHopping Backend;
-  core::ReductionOptions Opts;
+  core::SearchOptions Opts;
   Opts.Seed = 0xb1;
   Opts.MaxEvals = 40'000;
-  core::ReductionResult R = BVA.findOne(Backend, Opts);
+  core::SearchResult R = BVA.findOne(Backend, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_FALSE(BVA.hitsFor(R.Witness).empty());
 }

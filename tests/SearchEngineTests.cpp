@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <functional>
 
@@ -156,26 +157,6 @@ TEST(SearchEngineTest, CountsUnsoundCandidatesAtEveryThreadCount) {
   expectSameResult(Sequential, Parallel);
 }
 
-TEST(SearchEngineTest, FacadeMatchesSharedEvaluatorEngine) {
-  // Reduction is a façade over SearchEngine; both entries must produce
-  // bit-identical results for the same seed.
-  LambdaWeak W(
-      [](const std::vector<double> &X) {
-        return std::fabs(std::sin(X[0]) + 0.3) + 0.001;
-      },
-      1);
-  opt::BasinHopping Backend;
-  ReductionOptions Opts;
-  Opts.Seed = 6;
-  Opts.MaxEvals = 3'000;
-
-  Reduction Facade(W, nullptr);
-  ReductionResult A = Facade.solve(Backend, Opts);
-  SearchEngine Engine(W, nullptr);
-  SearchResult B = Engine.solve(Backend, Opts);
-  expectSameResult(A, B);
-}
-
 TEST(SearchEngineTest, PortfolioRoundRobinIsDeterministicAndSolves) {
   opt::BasinHopping BH;
   opt::DifferentialEvolution DE;
@@ -298,6 +279,77 @@ TEST(SearchEngineTest, BudgetIsRespectedExactly) {
   }
 }
 
+/// Starts > MaxEvals clamps the budget: one worker runs, and each start
+/// gets what the earlier starts left of MaxEvals. Both weak distances
+/// below have a zero region the oracle partly or wholly rejects, so a
+/// rejected start ends early and the next one runs on the remainder.
+SearchResult runClampedBudget(bool Findable, unsigned Threads,
+                              bool SharedEvaluator,
+                              opt::VectorRecorder *Recorder) {
+  LambdaWeak::Fn Weak =
+      Findable ? LambdaWeak::Fn([](const std::vector<double> &X) {
+        return X[0] > 0 ? 0.0 : -X[0];
+      })
+               : LambdaWeak::Fn([](const std::vector<double> &X) {
+                   return std::fabs(X[0]) < 10 ? 0.0
+                                               : std::fabs(X[0]) - 10;
+                 });
+  LambdaProblem Problem(
+      [Findable](const std::vector<double> &X) {
+        return Findable && X[0] > 90;
+      },
+      1);
+  LambdaWeakFactory Factory(Weak, 1);
+  LambdaWeak Shared(Weak, 1);
+  SearchEngine Engine = SharedEvaluator ? SearchEngine(Shared, &Problem)
+                                        : SearchEngine(Factory, &Problem);
+  opt::BasinHopping Backend;
+  SearchOptions Opts;
+  Opts.Seed = 50;
+  Opts.Starts = 50;
+  Opts.MaxEvals = 20;
+  Opts.Threads = Threads;
+  return Engine.solve(Backend, Opts, Recorder);
+}
+
+void expectClampedBudgetGolden(bool Findable, uint64_t WStarAtBits,
+                               uint64_t WitnessBits) {
+  SearchResult Base = runClampedBudget(Findable, 1, false, nullptr);
+  EXPECT_EQ(Base.Found, Findable);
+  EXPECT_EQ(Base.ThreadsUsed, 1u);
+  EXPECT_EQ(Base.Evals, 20u);
+  EXPECT_EQ(Base.StartsUsed, 2u);
+  EXPECT_EQ(Base.UnsoundCandidates, 1u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(Base.WStar), 0u);
+  ASSERT_EQ(Base.WStarAt.size(), 1u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(Base.WStarAt[0]), WStarAtBits);
+  if (Findable) {
+    ASSERT_EQ(Base.Witness.size(), 1u);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Base.Witness[0]), WitnessBits);
+  } else {
+    EXPECT_TRUE(Base.Witness.empty());
+  }
+
+  SearchResult Wide = runClampedBudget(Findable, 4, false, nullptr);
+  EXPECT_EQ(Wide.ThreadsUsed, 1u);
+  expectSameResult(Base, Wide);
+  expectSameResult(Base, runClampedBudget(Findable, 0, true, nullptr));
+  opt::VectorRecorder Rec;
+  expectSameResult(Base, runClampedBudget(Findable, 4, false, &Rec));
+  EXPECT_EQ(Rec.Samples.size(), Base.Evals);
+}
+
+TEST(SearchEngineTest, ClampedBudgetWhenFound) {
+  // The first start spends 19 evaluations reaching a rejected zero; the
+  // second gets the one evaluation left and finds a witness with it.
+  expectClampedBudgetGolden(true, 0x3feec435ed94a0a0ull,
+                            0x6e84052ca6b37d2aull);
+}
+
+TEST(SearchEngineTest, ClampedBudgetWhenNotFound) {
+  expectClampedBudgetGolden(false, 0xc0111bca126b5f60ull, 0);
+}
+
 TEST(SearchEngineTest, BoundaryAnalysisRunsParallelThroughFactory) {
   // End-to-end: interpreter-backed weak distance, per-worker contexts
   // minted by IRWeakDistanceFactory, verification through the shared
@@ -307,7 +359,7 @@ TEST(SearchEngineTest, BoundaryAnalysisRunsParallelThroughFactory) {
     subjects::Fig2 P = subjects::buildFig2(M);
     analyses::BoundaryAnalysis BVA(M, *P.F);
     opt::BasinHopping Backend;
-    ReductionOptions Opts;
+    SearchOptions Opts;
     Opts.Seed = 2019;
     Opts.MaxEvals = 30'000;
     Opts.Threads = Threads;

@@ -479,38 +479,13 @@ TEST(SchedulerTest, ShardCountInvariance) {
   EXPECT_EQ(B->Shards, 4u);
 }
 
-TEST(SchedulerTest, WorkStealingMatchesRoundRobinBitForBit) {
-  // The dispatch policy moves jobs between shards, never into them:
-  // per-job Reports and the aggregates are bit-identical across the
-  // work-stealing deques and the legacy shared-counter pop.
-  SuiteRunOptions Steal;
-  Steal.Shards = 4;
-  Steal.Dispatch = SuiteDispatch::WorkStealing;
-  Expected<SuiteReport> A =
-      JobScheduler::execute(smallMatrixSuite(), Steal);
-  ASSERT_TRUE(A.hasValue()) << A.error();
-  ASSERT_EQ(A->Executed, 4u);
-
-  SuiteRunOptions Legacy;
-  Legacy.Shards = 4;
-  Legacy.Dispatch = SuiteDispatch::RoundRobin;
-  Expected<SuiteReport> B =
-      JobScheduler::execute(smallMatrixSuite(), Legacy);
-  ASSERT_TRUE(B.hasValue()) << B.error();
-
-  EXPECT_EQ(deterministicHashes(*A), deterministicHashes(*B));
-  EXPECT_EQ(aggregateKey(*A), aggregateKey(*B));
-}
-
-TEST(SchedulerTest, WorkStealingShardCountInvariance) {
-  // And under stealing specifically, any shard count produces the same
-  // deterministic reports (the bar round-robin already clears).
+TEST(SchedulerTest, ShardCountInvarianceAtOneTwoFour) {
+  // Any shard count produces the same deterministic reports.
   std::map<std::string, std::string> Baseline;
   std::string BaselineAgg;
   for (unsigned Shards : {1u, 2u, 4u}) {
     SuiteRunOptions Opts;
     Opts.Shards = Shards;
-    Opts.Dispatch = SuiteDispatch::WorkStealing;
     Expected<SuiteReport> R =
         JobScheduler::execute(smallMatrixSuite(), Opts);
     ASSERT_TRUE(R.hasValue()) << R.error();
@@ -523,18 +498,6 @@ TEST(SchedulerTest, WorkStealingShardCountInvariance) {
     EXPECT_EQ(deterministicHashes(*R), Baseline) << Shards << " shards";
     EXPECT_EQ(aggregateKey(*R), BaselineAgg) << Shards << " shards";
   }
-}
-
-TEST(SchedulerTest, DispatchNamesRoundTrip) {
-  EXPECT_STREQ(suiteDispatchName(SuiteDispatch::WorkStealing), "steal");
-  EXPECT_STREQ(suiteDispatchName(SuiteDispatch::RoundRobin),
-               "roundrobin");
-  SuiteDispatch D;
-  EXPECT_TRUE(suiteDispatchByName("steal", D));
-  EXPECT_EQ(D, SuiteDispatch::WorkStealing);
-  EXPECT_TRUE(suiteDispatchByName("roundrobin", D));
-  EXPECT_EQ(D, SuiteDispatch::RoundRobin);
-  EXPECT_FALSE(suiteDispatchByName("random", D));
 }
 
 TEST(SchedulerTest, StopFlagDrainsLikeASignal) {

@@ -385,13 +385,13 @@ TEST(VMEquivalenceTest, BoundarySearchIdenticalAcrossEngines) {
     analyses::BoundaryAnalysis BVA(M, *M.functionByName("prog"),
                                    instr::BoundaryForm::Product, Engine);
     opt::BasinHopping Backend;
-    core::ReductionOptions Opts;
+    core::SearchOptions Opts;
     Opts.Seed = 2019;
     Opts.MaxEvals = 40'000;
     return BVA.findOne(Backend, Opts);
   };
-  core::ReductionResult RI = Run(vm::EngineKind::Interp);
-  core::ReductionResult RV = Run(vm::EngineKind::VM);
+  core::SearchResult RI = Run(vm::EngineKind::Interp);
+  core::SearchResult RV = Run(vm::EngineKind::VM);
   EXPECT_EQ(RI.Found, RV.Found);
   EXPECT_EQ(RI.Witness, RV.Witness);
   EXPECT_EQ(RI.Evals, RV.Evals);

@@ -127,8 +127,6 @@ int usage() {
          "hardware thread)\n"
          "  --mode=<m>                 inprocess (default) | subprocess "
          "| dry\n"
-         "  --dispatch=<d>             steal (default: work-stealing "
-         "deques) | roundrobin\n"
          "  --ndjson <log.ndjson>      stream events (doubles as the "
          "checkpoint)\n"
          "  --resume                   skip jobs already finished in "
@@ -627,10 +625,6 @@ int cmdSuite(int Argc, char **Argv) {
       if (!suiteModeByName(Val, Opts.Mode))
         return fail("unknown mode '" + Val +
                     "' (expected inprocess|subprocess|dry)");
-    } else if (Key == "--dispatch") {
-      if (!suiteDispatchByName(Val, Opts.Dispatch))
-        return fail("unknown dispatch '" + Val +
-                    "' (expected steal|roundrobin)");
     } else if (A == "--resume") {
       Opts.Resume = true;
     } else if (A == "--ndjson") {
