@@ -70,6 +70,18 @@ bool wdm::api::pruneModeByName(const std::string &Name, PruneMode &Out) {
   return false;
 }
 
+Status wdm::api::checkSearchCount(const std::string &Field, double N) {
+  double Max = UINT32_MAX;
+  if (Field == "starts")
+    Max = 65536;
+  else if (Field == "threads")
+    Max = 256;
+  if (N > Max)
+    return Status::error(formatf("spec: %s must be at most %.0f, got %.17g",
+                                 Field.c_str(), Max, N));
+  return Status::success();
+}
+
 ModuleSource ModuleSource::file(std::string Path) {
   return {Kind::File, std::move(Path)};
 }
@@ -387,6 +399,10 @@ Expected<AnalysisSpec> AnalysisSpec::fromJson(const json::Value &V) {
         if (!F.AllowNegative && X->isNumber() && X->asDouble() < 0)
           return E::error(typeError(F.Name, "non-negative number"));
       }
+    for (const char *Field : {"starts", "threads", "batch"})
+      if (const Value *X = S->find(Field))
+        if (Status St = checkSearchCount(Field, X->asDouble()); !St.ok())
+          return E::error(St.message());
     if (const Value *X = S->find("max_evals"))
       Spec.Search.MaxEvals = X->asUint();
     if (const Value *X = S->find("starts"))

@@ -67,6 +67,14 @@ const char *pruneModeName(PruneMode M);
 /// Parses "off", "sites", "sites+box"; false on unknown names.
 bool pruneModeByName(const std::string &Name, PruneMode &Out);
 
+/// Rejects the search count \p N of \p Field ("starts", "threads" or
+/// "batch") above its bound: 65536 starts, 256 threads, and UINT32_MAX
+/// for all three (their fields are unsigned). Starts are planned up
+/// front and threads are OS threads, so a count far beyond any real run
+/// only exhausts the process (or the daemon serving it). \p N is a
+/// double so that a JSON number of any form compares exactly.
+Status checkSearchCount(const std::string &Field, double N);
+
 /// Where the subject module comes from. Builtin names resolve through
 /// api::buildBuiltinSubject (the GSL models and the subjects/ corpus,
 /// which exist only as builder code, not as text).

@@ -63,6 +63,13 @@ Expected<Report> Analyzer::run() {
                       jit::engineNamesForErrors() + ", got '" +
                       Spec.Search.Engine + "'");
   }
+  for (const auto &[Field, N] :
+       {std::pair{"starts", Spec.Search.Starts},
+        std::pair{"threads", Spec.Search.Threads},
+        std::pair{"batch", Spec.Search.Batch}})
+    if (N)
+      if (Status S = checkSearchCount(Field, *N); !S.ok())
+        return E::error(S.message());
   if (!Spec.Search.Prune.empty()) {
     PruneMode M;
     if (!pruneModeByName(Spec.Search.Prune, M))

@@ -72,16 +72,23 @@ OverflowInstrumentation instr::instrumentOverflow(Function &F,
       Instruction *Op = Item.BB->inst(Idx);
       int SiteId = Op->id();
 
-      // Split: everything after the FP op moves to a continuation block.
+      // Split: everything after the FP op moves to a continuation block;
+      // the check itself gets a block of its own between the two.
       BasicBlock *ContBB = Result.Wrapped->addBlockAfter(
           Item.BB, formatf("%s.ovf%u", Item.BB->name().c_str(),
+                           SplitCounter));
+      BasicBlock *ChkBB = Result.Wrapped->addBlockAfter(
+          Item.BB, formatf("%s.ovfchk%u", Item.BB->name().c_str(),
                            SplitCounter++));
       for (auto &Tail : Item.BB->takeFrom(Idx + 1))
         ContBB->append(std::move(Tail));
 
-      // Inject the Algorithm 3 check at the (now open) end of Item.BB.
+      // "if (l is not in L)": a retired site skips the check entirely.
       B.setInsertAppend(Item.BB);
-      Value *Enabled = B.siteEnabled(SiteId);
+      B.condbr(B.siteEnabled(SiteId), ChkBB, ContBB);
+
+      // The Algorithm 3 check: w = ...; if (w == 0) return;
+      B.setInsertAppend(ChkBB);
       Value *Abs = B.fabs(Op);
       Value *Below = B.fcmp(CmpPred::LT, Abs, B.lit(MaxDouble));
       Value *Gap = Metric == OverflowMetric::AbsGap
@@ -90,16 +97,10 @@ OverflowInstrumentation instr::instrumentOverflow(Function &F,
                        : static_cast<Value *>(
                              B.ulpdiff(Abs, B.lit(MaxDouble)));
       Value *WNew = B.select(Below, Gap, B.lit(0.0));
-      Value *WCur = B.loadg(Result.W);
-      Value *WOut = B.select(Enabled, WNew, WCur);
-      B.storeg(Result.W, WOut);
-      Value *LastCur = B.loadg(Result.LastSite);
-      Value *LastOut =
-          B.select(Enabled, B.litInt(SiteId), LastCur);
-      B.storeg(Result.LastSite, LastOut);
-      Value *IsZero = B.fcmp(CmpPred::EQ, WOut, B.lit(0.0));
-      Value *Stop = B.band(Enabled, IsZero);
-      B.condbr(Stop, RetBB, ContBB);
+      B.storeg(Result.W, WNew);
+      B.storeg(Result.LastSite, B.litInt(SiteId));
+      Value *IsZero = B.fcmp(CmpPred::EQ, WNew, B.lit(0.0));
+      B.condbr(IsZero, RetBB, ContBB);
     }
   }
   return Result;

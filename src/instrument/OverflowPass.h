@@ -13,9 +13,13 @@
 ///     if (w == 0) return;
 ///   }
 ///
-/// The "l not in L" gate compiles to a `siteenabled` read, so the driver
-/// grows L between rounds by flipping runtime bits. The early return
-/// requires splitting the basic block after l. A global `last_site`
+/// The "l not in L" gate compiles to a `siteenabled` read and a real
+/// branch around the check block, so OverflowDetector grows L between
+/// rounds by flipping runtime bits, and a retired site costs 2 executed
+/// steps (the read and the branch). A live site costs 10: the gate plus
+/// fabs, fcmp, the gap (fsub or ulpdiff), select, the stores of w and
+/// last_site, fcmp eq and the early-return branch. The early return
+/// requires splitting the basic block after l. The global `last_site`
 /// records the last enabled site that wrote w — Algorithm 3 step 7's
 /// heuristic target.
 ///

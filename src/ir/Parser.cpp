@@ -10,6 +10,7 @@
 #include "support/Casting.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -208,12 +209,20 @@ public:
   Expected<std::unique_ptr<Module>> run();
 
 private:
-  const Token &peek() const { return Tokens[Pos]; }
-  const Token &get() { return Tokens[Pos++]; }
+  // The token stream always ends in Eof; reading never moves past it.
+  const Token &peek() const {
+    return Tokens[std::min(Pos, Tokens.size() - 1)];
+  }
+  const Token &get() {
+    const Token &T = peek();
+    if (T.Kind != TokKind::Eof)
+      ++Pos;
+    return T;
+  }
   bool accept(TokKind K) {
     if (peek().Kind != K)
       return false;
-    ++Pos;
+    get();
     return true;
   }
   void skipNewlines() {

@@ -258,6 +258,53 @@ TEST(SpecTest, ErrorPaths) {
           .hasValue());
 }
 
+TEST(SpecTest, SearchCountsAreBounded) {
+  // Parse-time checks only: a spec that slipped past them would plan a
+  // billion starts or spawn thousands of threads.
+  auto Parse = [](const std::string &Search) {
+    return AnalysisSpec::parse(
+        R"({"task": "overflow", "module": {"builtin": "bessel"},
+            "search": )" +
+        Search + "}");
+  };
+
+  // The bounds themselves are accepted.
+  Expected<AnalysisSpec> AtMax =
+      Parse(R"({"starts": 65536, "threads": 256, "batch": 4294967295})");
+  ASSERT_TRUE(AtMax.hasValue()) << AtMax.error();
+  EXPECT_EQ(AtMax->Search.Starts, 65536u);
+  EXPECT_EQ(AtMax->Search.Threads, 256u);
+  EXPECT_EQ(AtMax->Search.Batch, 4294967295u);
+
+  // Past a bound is an error naming the field; values above UINT32_MAX
+  // (4294967297 would narrow to 1) and beyond uint64 are rejected.
+  for (const auto &[Search, Field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"starts": 65537})", "starts"},
+           {R"({"starts": 1000000000})", "starts"},
+           {R"({"starts": 4294967297})", "starts"},
+           {R"({"starts": 1e30})", "starts"},
+           {R"({"threads": 257})", "threads"},
+           {R"({"threads": 18446744073709551615})", "threads"},
+           {R"({"batch": 4294967296})", "batch"},
+           {R"({"batch": 4294967297})", "batch"}}) {
+    Expected<AnalysisSpec> Bad = Parse(Search);
+    ASSERT_FALSE(Bad.hasValue()) << Search;
+    EXPECT_NE(Bad.error().find(Field + " must be at most"),
+              std::string::npos)
+        << Bad.error();
+  }
+
+  // The same helper guards programmatically built specs in
+  // Analyzer::run (and the CLI's flags).
+  EXPECT_TRUE(checkSearchCount("starts", 65536).ok());
+  EXPECT_FALSE(checkSearchCount("starts", 65537).ok());
+  EXPECT_TRUE(checkSearchCount("threads", 256).ok());
+  EXPECT_FALSE(checkSearchCount("threads", 257).ok());
+  EXPECT_TRUE(checkSearchCount("batch", 4294967295.0).ok());
+  EXPECT_FALSE(checkSearchCount("batch", 4294967296.0).ok());
+}
+
 TEST(SpecTest, AnalyzerRejectsBadSpecs) {
   // Unknown builtin.
   AnalysisSpec Spec;

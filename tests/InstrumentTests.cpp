@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "gsl/Airy.h"
 #include "gsl/Bessel.h"
+#include "gsl/Hyperg.h"
 #include "instrument/BoundaryPass.h"
 #include "instrument/BranchDistance.h"
 #include "instrument/Cloner.h"
@@ -15,11 +17,15 @@
 #include "instrument/PathPass.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "jit/JITCompile.h"
+#include "jit/JITWeakDistance.h"
 #include "subjects/Fig2.h"
 #include "subjects/SinModel.h"
 #include "subjects/TestPrograms.h"
 #include "support/FPUtils.h"
 #include "support/RNG.h"
+#include "vm/Lowering.h"
+#include "vm/Machine.h"
 
 #include <gtest/gtest.h>
 
@@ -462,6 +468,111 @@ TEST(OverflowPassTest, WeakDistanceGuidesTowardOverflow) {
     // ...and share the zero set: nu ~ 1e160 -> mu = 4e320 overflows.
     EXPECT_EQ(W({1e160, 1.0}), 0.0);
   }
+}
+
+/// The "l not in L" gate is a real branch: a retired site costs its
+/// site_enabled read and the branch (2 steps), a live one on a benign
+/// value additionally runs the 8-instruction check block (10 steps).
+/// Every tier counts the same steps.
+TEST(OverflowPassTest, RetiredSiteCostsTwoSteps) {
+  for (OverflowMetric Metric :
+       {OverflowMetric::AbsGap, OverflowMetric::UlpGap}) {
+    Module M;
+    Function *F = subjects::buildStraightline(M); // (a+b)*(a-b)
+    OverflowInstrumentation OI = instrumentOverflow(*F, Metric);
+    ASSERT_EQ(OI.Sites.size(), 3u);
+    const uint64_t NumSites = OI.Sites.size();
+
+    Engine E(M);
+    vm::CompiledModule CM = vm::compile(M);
+    jit::CompiledModule JM = jit::compile(CM);
+    vm::Machine Mach(CM);
+    const std::vector<RTValue> Args{RTValue::ofDouble(1.0),
+                                    RTValue::ofDouble(2.0)};
+
+    // Steps of \p Fn on Args under each tier, with every site live or
+    // every site retired.
+    auto StepsOn = [&](const Function *Fn, bool Live) {
+      ExecContext Ctx(M);
+      for (const Site &S : OI.Sites)
+        Ctx.setSiteEnabled(S.Id, Live);
+      std::vector<uint64_t> Steps;
+      ExecResult RI = E.run(Fn, Args, Ctx);
+      EXPECT_TRUE(RI.ok());
+      Steps.push_back(RI.Steps);
+      const vm::CompiledFunction *CF = CM.lookup(Fn);
+      EXPECT_TRUE(CF && CF->Ok);
+      if (CF && CF->Ok) {
+        Ctx.resetGlobals();
+        Steps.push_back(Mach.run(*CF, Args, Ctx).Steps);
+      }
+      const jit::CompiledFunction *JF = JM.lookup(Fn);
+      if (jit::available() && JF && JF->Ok) {
+        Ctx.resetGlobals();
+        Steps.push_back(jit::run(JM, *JF, Args, Ctx).Steps);
+      }
+      return Steps;
+    };
+
+    const std::vector<uint64_t> Orig = StepsOn(F, true);
+    const std::vector<uint64_t> Live = StepsOn(OI.Wrapped, true);
+    const std::vector<uint64_t> Retired = StepsOn(OI.Wrapped, false);
+    ASSERT_GE(Orig.size(), 2u);
+    ASSERT_EQ(Live.size(), Orig.size());
+    ASSERT_EQ(Retired.size(), Orig.size());
+    if (jit::available()) {
+      EXPECT_EQ(Orig.size(), 3u) << "the JIT should take straightline";
+    }
+    for (size_t T = 0; T < Orig.size(); ++T) {
+      EXPECT_EQ(Orig[T], Orig[0]) << "tier " << T;
+      EXPECT_EQ(Live[T], Orig[T] + 10 * NumSites) << "tier " << T;
+      EXPECT_EQ(Retired[T], Orig[T] + 2 * NumSites) << "tier " << T;
+    }
+  }
+}
+
+/// FNV-1a over the (w bits, last_site) stream of the GSL subjects under
+/// both metrics, 64 seeded inputs and 4 seeded site masks. The constant
+/// was captured from the select-based (branch-free) form of the pass;
+/// the gated form must reproduce it bit for bit.
+TEST(OverflowPassTest, GatedFormKeepsParentBits) {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  auto Mix = [&Hash](uint64_t V) {
+    for (int Byte = 0; Byte < 8; ++Byte) {
+      Hash ^= (V >> (8 * Byte)) & 0xff;
+      Hash *= 0x100000001b3ull;
+    }
+  };
+  for (const char *Name : {"bessel", "hyperg", "airy"}) {
+    for (OverflowMetric Metric :
+         {OverflowMetric::AbsGap, OverflowMetric::UlpGap}) {
+      Module M;
+      Function *F = nullptr;
+      if (std::string(Name) == "bessel")
+        F = gsl::buildBesselKnuScaledAsympx(M).F;
+      else if (std::string(Name) == "hyperg")
+        F = gsl::buildHyperg2F0(M).F;
+      else
+        F = gsl::buildAiryAi(M).Airy.F;
+      OverflowInstrumentation OI = instrumentOverflow(*F, Metric);
+      Engine E(M);
+      ExecContext Ctx(M);
+      IRWeakDistance W(E, OI.Wrapped, OI.W, OI.WInit, Ctx);
+      RNG Rand(0x0f1a + 17 * OI.Sites.size());
+      for (int Mask = 0; Mask < 4; ++Mask) {
+        for (const Site &S : OI.Sites)
+          Ctx.setSiteEnabled(S.Id, Rand.chance(0.5));
+        for (int K = 0; K < 64; ++K) {
+          std::vector<double> X(F->numArgs());
+          for (double &V : X)
+            V = K < 32 ? Rand.uniform(-1e3, 1e3) : Rand.anyFiniteDouble();
+          Mix(bitsOf(W(X)));
+          Mix(static_cast<uint64_t>(W.readIntGlobal(OI.LastSite)));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Hash, 0x0a7deb7dc82f2a67ull) << std::hex << Hash;
 }
 
 } // namespace

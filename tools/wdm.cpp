@@ -999,6 +999,18 @@ int cmdAnalyze(int Argc, char **Argv) {
     Out = std::strtoull(V.c_str(), &End, 0);
     return End && !*End && !V.empty();
   };
+  // A search count is parsed wide and bounded before it narrows to the
+  // spec's unsigned field; returns the error message, empty when valid.
+  auto Count = [&Uint](const char *Field, const std::string &V,
+                       std::optional<unsigned> &Out) -> std::string {
+    uint64_t N = 0;
+    if (!Uint(V, N))
+      return std::string("bad --") + Field;
+    if (Status S = checkSearchCount(Field, static_cast<double>(N)); !S.ok())
+      return S.message();
+    Out = static_cast<unsigned>(N);
+    return "";
+  };
 
   for (int I = 0; I < Argc; ++I) {
     std::string A = Argv[I];
@@ -1025,21 +1037,21 @@ int cmdAnalyze(int Argc, char **Argv) {
         return fail("bad --evals");
       Spec.Search.MaxEvals = N;
     } else if (Key == "--starts") {
-      if (!Uint(Val, N))
-        return fail("bad --starts");
-      Spec.Search.Starts = static_cast<unsigned>(N);
+      if (std::string Err = Count("starts", Val, Spec.Search.Starts);
+          !Err.empty())
+        return fail(Err);
     } else if (Key == "--seed") {
       if (!Uint(Val, N))
         return fail("bad --seed");
       Spec.Search.Seed = N;
     } else if (Key == "--threads") {
-      if (!Uint(Val, N))
-        return fail("bad --threads");
-      Spec.Search.Threads = static_cast<unsigned>(N);
+      if (std::string Err = Count("threads", Val, Spec.Search.Threads);
+          !Err.empty())
+        return fail(Err);
     } else if (Key == "--batch") {
-      if (!Uint(Val, N))
-        return fail("bad --batch");
-      Spec.Search.Batch = static_cast<unsigned>(N);
+      if (std::string Err = Count("batch", Val, Spec.Search.Batch);
+          !Err.empty())
+        return fail(Err);
     } else if (Key == "--backends") {
       for (const std::string &B : splitString(Val, ','))
         Spec.Search.Backends.push_back(B);
