@@ -61,12 +61,18 @@ struct GslStudyResult {
 /// via the shared api::SearchConfig::applyEnv policy, so the same binary
 /// measures the sequential baseline and the parallel engine; results are
 /// identical at every thread count for a fixed seed.
-/// \p Prune, when non-empty, selects the static pre-pass mode
-/// ("off" | "sites" | "sites+box") exactly as `wdm --prune=` would.
+/// \p Prune selects the static pre-pass mode ("off" | "sites" |
+/// "sites+box") exactly as `wdm --prune=` would; empty leaves it unset,
+/// which for this inconsistency task resolves to "sites". Pass "off" for
+/// the paper-exact Algorithm 3.
 GslStudyResult runGslStudy(const std::string &BuiltinName, uint64_t Seed,
                            const std::vector<std::vector<double>> &
                                ExtraProbes = {},
                            const std::string &Prune = "");
+
+/// runGslStudy's \p Prune for the paper's Algorithm 3, one round per
+/// operation: the Table 3 and Table 5 benches run the study this way.
+inline constexpr const char *PaperExactPrune = "off";
 
 /// The $WDM_STARTS / $WDM_THREADS configuration runGslStudy resolved.
 unsigned gslStudyStartsPerRound();

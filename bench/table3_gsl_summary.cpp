@@ -54,15 +54,17 @@ int main() {
   };
 
   {
-    GslStudyResult R = runGslStudy("bessel", 0xbe55e1);
+    GslStudyResult R = runGslStudy("bessel", 0xbe55e1, {}, PaperExactPrune);
     BesselOverflows = R.NumOverflows;
     Record("bessel  bessel_Knu_scaled.", R);
   }
-  Record("hyperg  gsl_sf_hyperg_2F0_e", runGslStudy("hyperg", 0x472c));
+  Record("hyperg  gsl_sf_hyperg_2F0_e",
+         runGslStudy("hyperg", 0x472c, {}, PaperExactPrune));
   unsigned AiryBugs = 0;
   {
     GslStudyResult R = runGslStudy("airy", 0xa1e9,
-                                   {{gsl::AiryBug1Input}, {-1.14e57}});
+                                   {{gsl::AiryBug1Input}, {-1.14e57}},
+                                   PaperExactPrune);
     AiryBugs = R.NumBugs;
     Record("airy    gsl_sf_airy_Ai_e", R);
   }

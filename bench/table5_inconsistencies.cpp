@@ -52,13 +52,13 @@ int main() {
   size_t Total = 0;
 
   {
-    GslStudyResult R = runGslStudy("bessel", 0xbe55e1);
+    GslStudyResult R = runGslStudy("bessel", 0xbe55e1, {}, PaperExactPrune);
     addRows(T, R);
     Bugs += R.NumBugs;
     Total += R.Distinct.size();
   }
   {
-    GslStudyResult R = runGslStudy("hyperg", 0x472c);
+    GslStudyResult R = runGslStudy("hyperg", 0x472c, {}, PaperExactPrune);
     addRows(T, R);
     Bugs += R.NumBugs;
     Total += R.Distinct.size();
@@ -66,7 +66,8 @@ int main() {
   unsigned AiryBugs = 0;
   {
     GslStudyResult R = runGslStudy("airy", 0xa1e9,
-                                   {{gsl::AiryBug1Input}, {-1.14e57}});
+                                   {{gsl::AiryBug1Input}, {-1.14e57}},
+                                   PaperExactPrune);
     addRows(T, R);
     AiryBugs = R.NumBugs;
     Bugs += R.NumBugs;

@@ -23,78 +23,110 @@ using namespace wdm::ir;
 namespace {
 
 //===----------------------------------------------------------------------===//
+// Per-function CFG facts and state layout
+//===----------------------------------------------------------------------===//
+
+/// What the engine needs to know about one function, built once per
+/// analysis and shared by every activation of it (the entry run and each
+/// inlined call): reverse post order, loop heads, and the dense slot
+/// layout of its abstract states, [arguments and value-producing
+/// instructions | alloca cells | module globals].
+struct FuncInfo {
+  std::vector<const BasicBlock *> RPO; ///< Reachable blocks, entry first.
+  std::unordered_map<const BasicBlock *, unsigned> Order; ///< RPO index.
+  std::vector<char> LoopHead;                              ///< By RPO index.
+  std::unordered_map<const Value *, unsigned> ValueSlot;
+  std::unordered_map<const Instruction *, unsigned> CellSlot;
+  unsigned GlobalBase = 0;
+  unsigned NumSlots = 0;
+  /// Facts joined across every context, by value slot (Void: never
+  /// recorded).
+  std::vector<AbstractValue> Facts;
+
+  FuncInfo(const Function &F, size_t NumGlobals) {
+    DominatorInfo Dom(F);
+    RPO = Dom.rpo();
+    for (unsigned K = 0; K < RPO.size(); ++K)
+      Order.emplace(RPO[K], K);
+    // A loop head dominates one of its predecessors (a back edge's source).
+    LoopHead.assign(RPO.size(), 0);
+    for (const BasicBlock *BB : RPO)
+      for (const BasicBlock *S : successors(BB))
+        if (Dom.dominates(S, BB))
+          LoopHead[Order.at(S)] = 1;
+
+    unsigned N = 0;
+    for (unsigned K = 0; K < F.numArgs(); ++K)
+      ValueSlot.emplace(F.arg(K), N++);
+    F.forEachInst([&](const Instruction *I) {
+      if (I->type() != Type::Void)
+        ValueSlot.emplace(I, N++);
+    });
+    Facts.resize(N);
+    F.forEachInst([&](const Instruction *I) {
+      if (I->opcode() == Opcode::Alloca)
+        CellSlot.emplace(I, N++);
+    });
+    GlobalBase = N;
+    NumSlots = N + static_cast<unsigned>(NumGlobals);
+  }
+
+  /// The value slot of \p V; -1 for constants, globals and void
+  /// instructions, which states do not hold.
+  int slotOf(const Value *V) const {
+    auto It = ValueSlot.find(V);
+    return It == ValueSlot.end() ? -1 : static_cast<int>(It->second);
+  }
+};
+
+//===----------------------------------------------------------------------===//
 // Abstract machine state
 //===----------------------------------------------------------------------===//
 
-/// One program point's knowledge: SSA values (arguments and instruction
-/// results), alloca cell contents, and global-variable cells. Missing Env
-/// and Cells keys mean "not defined on any path into this point"; the
-/// defs-dominate-uses rule makes reading a one-sided key at a join sound
-/// (any use is unreachable from the side that lacks the definition).
+/// True unless \p V is the Void placeholder of a slot that no path into a
+/// program point has defined.
+bool defined(const AbstractValue &V) { return V.Ty != Type::Void; }
+
+/// One program point's knowledge in its function's FuncInfo slot layout:
+/// SSA values (arguments and instruction results), alloca cell contents,
+/// and global-variable cells. An undefined slot means "not defined on any
+/// path into this point"; the defs-dominate-uses rule makes reading a
+/// one-sided slot at a join sound (any use is unreachable from the side
+/// that lacks the definition).
 struct AbsState {
   bool Reachable = false;
-  std::unordered_map<const Value *, AbstractValue> Env;
-  std::unordered_map<const Instruction *, AbstractValue> Cells;
-  std::unordered_map<const GlobalVar *, AbstractValue> Globals;
+  std::vector<AbstractValue> Slots;
 
-  static AbsState unreachable() { return {}; }
-
-  void joinInPlace(const AbsState &O) {
+  /// Joins \p O into this state, widening every slot that was already
+  /// defined against its old value when \p Widen. Returns true when the
+  /// state changed.
+  bool joinFrom(const AbsState &O, bool Widen) {
     if (!O.Reachable)
-      return;
+      return false;
     if (!Reachable) {
       *this = O;
-      return;
-    }
-    for (const auto &[K, V] : O.Env) {
-      auto It = Env.find(K);
-      if (It == Env.end())
-        Env.emplace(K, V);
-      else
-        It->second = It->second.join(V);
-    }
-    for (const auto &[K, V] : O.Cells) {
-      auto It = Cells.find(K);
-      if (It == Cells.end())
-        Cells.emplace(K, V);
-      else
-        It->second = It->second.join(V);
-    }
-    for (const auto &[K, V] : O.Globals) {
-      auto It = Globals.find(K);
-      if (It == Globals.end())
-        Globals.emplace(K, V);
-      else
-        It->second = It->second.join(V);
-    }
-  }
-
-  void widenFrom(const AbsState &Prev) {
-    if (!Prev.Reachable)
-      return;
-    for (auto &[K, V] : Env) {
-      auto It = Prev.Env.find(K);
-      if (It != Prev.Env.end())
-        V = It->second.widen(V);
-    }
-    for (auto &[K, V] : Cells) {
-      auto It = Prev.Cells.find(K);
-      if (It != Prev.Cells.end())
-        V = It->second.widen(V);
-    }
-    for (auto &[K, V] : Globals) {
-      auto It = Prev.Globals.find(K);
-      if (It != Prev.Globals.end())
-        V = It->second.widen(V);
-    }
-  }
-
-  bool operator==(const AbsState &O) const {
-    if (Reachable != O.Reachable)
-      return false;
-    if (!Reachable)
       return true;
-    return Env == O.Env && Cells == O.Cells && Globals == O.Globals;
+    }
+    bool Changed = false;
+    for (size_t K = 0; K < Slots.size(); ++K) {
+      const AbstractValue &Src = O.Slots[K];
+      AbstractValue &Dst = Slots[K];
+      if (!defined(Src))
+        continue;
+      if (!defined(Dst)) {
+        Dst = Src;
+        Changed = true;
+        continue;
+      }
+      AbstractValue New = Dst.join(Src);
+      if (Widen)
+        New = Dst.widen(New);
+      if (!(New == Dst)) {
+        Dst = New;
+        Changed = true;
+      }
+    }
+    return Changed;
   }
 };
 
@@ -112,11 +144,17 @@ AbstractValue zeroOf(Type Ty) {
   return AbstractValue::topOf(Ty);
 }
 
+AbstractValue initialValue(const GlobalVar *G) {
+  return G->type() == Type::Double
+             ? AbstractValue::ofDouble(FPInterval::point(G->initDouble()))
+             : AbstractValue::ofInt(IntInterval::point(G->initInt()));
+}
+
 /// What a call contributes back to its caller.
 struct CallSummary {
   bool MayReturn = false;
   AbstractValue Ret;
-  std::unordered_map<const GlobalVar *, AbstractValue> ExitGlobals;
+  std::vector<AbstractValue> ExitGlobals; ///< In module global order.
 };
 
 //===----------------------------------------------------------------------===//
@@ -128,8 +166,12 @@ struct SharedCtx {
   AnalysisOptions Opts;
   unsigned Visits = 0;
   bool Complete = true;
-  /// Facts joined across every context (entry function and callees).
-  std::unordered_map<const Instruction *, AbstractValue> Facts;
+  /// The module's globals, in the order of every state's global slots.
+  std::vector<const GlobalVar *> Globals;
+  std::unordered_map<const GlobalVar *, unsigned> GlobalIndex;
+  /// CFG facts, state layout and recorded facts of every function the
+  /// analysis entered.
+  std::unordered_map<const Function *, std::unique_ptr<FuncInfo>> Funcs;
   /// Per-condbr edge feasibility (MayTrue/MayFalse = direction may be
   /// taken), joined across contexts.
   std::unordered_map<const Instruction *, BoolAbs> EdgeFeas;
@@ -141,6 +183,18 @@ struct SharedCtx {
   std::unordered_set<const Function *> FactsInvalid;
   /// Call stack for recursion detection.
   std::vector<const Function *> Stack;
+
+  FuncInfo &info(const Function &F) {
+    std::unique_ptr<FuncInfo> &FI = Funcs[&F];
+    if (!FI)
+      FI = std::make_unique<FuncInfo>(F, Globals.size());
+    return *FI;
+  }
+
+  const FuncInfo *findInfo(const Function *F) const {
+    auto It = Funcs.find(F);
+    return It == Funcs.end() ? nullptr : It->second.get();
+  }
 
   void invalidateFrom(const Function *F) {
     // Facts of F and everything it can call are no longer certificates.
@@ -158,65 +212,50 @@ struct SharedCtx {
   }
 };
 
+/// One activation of one function: chaotic iteration to a fixpoint,
+/// narrowing, and a final pass that records facts.
 class Engine {
 public:
-  Engine(const Function &F, SharedCtx &Ctx) : F(F), Ctx(Ctx), Dom(F) {
-    for (const BasicBlock *BB : Dom.rpo())
-      RPOIndex[BB] = static_cast<unsigned>(RPOIndex.size());
-    for (const auto &BB : F)
-      for (const BasicBlock *S : successors(BB.get()))
-        Preds[S].push_back(BB.get());
-    for (const auto &BB : F) {
-      for (const BasicBlock *P : Preds[BB.get()])
-        if (Dom.reachable(BB.get()) && Dom.reachable(P) &&
-            Dom.dominates(BB.get(), P)) {
-          LoopHeads.insert(BB.get());
-          break;
-        }
-    }
-  }
+  Engine(const Function &F, FuncInfo &FI, SharedCtx &Ctx)
+      : F(F), FI(FI), Ctx(Ctx) {}
 
-  /// Runs to fixpoint from \p Entry, then (optionally) records facts.
-  /// Returns the call summary of this activation.
+  /// Runs to fixpoint from \p Entry, then (optionally) records facts in
+  /// the final pass. Returns the call summary of this activation.
   CallSummary run(AbsState Entry, bool Record) {
-    InState.clear();
-    JoinCount.clear();
-    const BasicBlock *EntryBB = F.entry();
-    if (!EntryBB)
-      return {};
-    InState[EntryBB] = std::move(Entry);
+    CallSummary Sum;
+    Sum.Ret = AbstractValue::bottomOf(F.returnType());
+    Sum.ExitGlobals.resize(Ctx.Globals.size());
+    const unsigned NB = static_cast<unsigned>(FI.RPO.size());
+    InState.assign(NB, AbsState{});
+    if (NB == 0)
+      return Sum;
+    InState[0] = std::move(Entry);
 
     // Chaotic iteration in RPO priority with widening at loop heads.
-    std::vector<const BasicBlock *> Work{EntryBB};
-    auto Pop = [&]() {
-      auto Best = Work.begin();
-      for (auto It = Work.begin(); It != Work.end(); ++It)
-        if (RPOIndex[*It] < RPOIndex[*Best])
-          Best = It;
-      const BasicBlock *BB = *Best;
-      Work.erase(Best);
-      return BB;
-    };
-    while (!Work.empty() && Ctx.Complete) {
-      const BasicBlock *BB = Pop();
+    std::vector<unsigned> JoinCount(NB, 0);
+    std::vector<char> Pending(NB, 0);
+    Pending[0] = 1;
+    unsigned NumPending = 1;
+    while (NumPending && Ctx.Complete) {
+      unsigned Idx = 0;
+      while (!Pending[Idx])
+        ++Idx;
+      Pending[Idx] = 0;
+      --NumPending;
       if (++Ctx.Visits > Ctx.Opts.MaxBlockVisits) {
         Ctx.Complete = false;
         break;
       }
-      auto Edges = transferBlock(BB, InState[BB], /*Record=*/false);
-      for (auto &[Succ, St] : Edges) {
-        AbsState New = InState[Succ];
-        AbsState Prev = New;
-        New.joinInPlace(St);
-        if (LoopHeads.count(Succ) &&
-            ++JoinCount[Succ] > Ctx.Opts.WidenDelay)
-          New.widenFrom(Prev);
-        if (!(New == InState[Succ])) {
-          InState[Succ] = std::move(New);
-          if (std::find(Work.begin(), Work.end(), Succ) == Work.end())
-            Work.push_back(Succ);
-        }
-      }
+      transferBlock(Idx, InState[Idx], /*Record=*/false, nullptr,
+                    [&](unsigned Succ, const AbsState &St) {
+                      bool Widen = FI.LoopHead[Succ] &&
+                                   ++JoinCount[Succ] > Ctx.Opts.WidenDelay;
+                      if (InState[Succ].joinFrom(St, Widen) &&
+                          !Pending[Succ]) {
+                        Pending[Succ] = 1;
+                        ++NumPending;
+                      }
+                    });
     }
 
     // Narrowing: recompute in-states as exact joins of predecessor edges
@@ -224,50 +263,47 @@ public:
     // widened infinities where the branch conditions allow).
     for (unsigned Pass = 0; Pass < Ctx.Opts.NarrowPasses && Ctx.Complete;
          ++Pass) {
-      std::unordered_map<const BasicBlock *,
-                         std::vector<std::pair<const BasicBlock *, AbsState>>>
-          EdgeIn;
-      for (const BasicBlock *BB : Dom.rpo()) {
-        if (!InState[BB].Reachable)
+      std::vector<AbsState> NewIn(NB);
+      for (unsigned Idx = 0; Idx < NB; ++Idx) {
+        if (!InState[Idx].Reachable)
           continue;
         if (++Ctx.Visits > Ctx.Opts.MaxBlockVisits) {
           Ctx.Complete = false;
           break;
         }
-        auto Edges = transferBlock(BB, InState[BB], /*Record=*/false);
-        for (auto &[Succ, St] : Edges)
-          EdgeIn[Succ].emplace_back(BB, std::move(St));
+        transferBlock(Idx, InState[Idx], /*Record=*/false, nullptr,
+                      [&](unsigned Succ, const AbsState &St) {
+                        NewIn[Succ].joinFrom(St, /*Widen=*/false);
+                      });
       }
       if (!Ctx.Complete)
         break;
-      for (const BasicBlock *BB : Dom.rpo()) {
-        if (BB == F.entry())
-          continue;
-        AbsState Joined;
-        for (auto &[P, St] : EdgeIn[BB])
-          Joined.joinInPlace(St);
-        InState[BB] = std::move(Joined);
-      }
+      for (unsigned Idx = 1; Idx < NB; ++Idx)
+        InState[Idx] = std::move(NewIn[Idx]);
     }
+    if (!Ctx.Complete)
+      return Sum; // every query degrades to "don't know"
 
     // Final pass: compute the summary and (when requested) record facts.
-    CallSummary Sum;
-    Sum.Ret = AbstractValue::bottomOf(F.returnType());
-    for (const BasicBlock *BB : Dom.rpo()) {
-      if (!InState[BB].Reachable)
-        continue;
-      auto Edges = transferBlock(BB, InState[BB], Record, &Sum);
-      (void)Edges;
-    }
+    for (unsigned Idx = 0; Idx < NB; ++Idx)
+      if (InState[Idx].Reachable)
+        transferBlock(Idx, InState[Idx], Record, &Sum,
+                      [](unsigned, const AbsState &) {});
     return Sum;
   }
 
-  const std::unordered_map<const BasicBlock *, AbsState> &inStates() const {
-    return InState;
-  }
+  /// In-states by RPO index, as the last run left them.
+  const std::vector<AbsState> &inStates() const { return InState; }
 
 private:
-  using EdgeList = std::vector<std::pair<const BasicBlock *, AbsState>>;
+  /// Slot writes an edge refinement made, for restoring the block's
+  /// out-state before the other edge is refined (at most three: the
+  /// condition and the two comparison operands).
+  struct Undo {
+    unsigned N = 0;
+    unsigned Slot[3];
+    AbstractValue Old[3];
+  };
 
   AbstractValue lookup(const Value *V, const AbsState &S) const {
     if (const auto *CD = dyn_cast<ConstantDouble>(V))
@@ -276,10 +312,20 @@ private:
       return AbstractValue::ofInt(IntInterval::point(CI->value()));
     if (const auto *CB = dyn_cast<ConstantBool>(V))
       return AbstractValue::ofBool(BoolAbs::point(CB->value()));
-    auto It = S.Env.find(V);
-    if (It != S.Env.end())
-      return It->second;
+    int K = FI.slotOf(V);
+    if (K >= 0 && defined(S.Slots[K]))
+      return S.Slots[K];
     return AbstractValue::topOf(V->type());
+  }
+
+  AbstractValue &globalSlot(AbsState &S, const GlobalVar *G) const {
+    return S.Slots[FI.GlobalBase + Ctx.GlobalIndex.at(G)];
+  }
+
+  void havocGlobals(AbsState &S) const {
+    for (size_t K = 0; K < Ctx.Globals.size(); ++K)
+      S.Slots[FI.GlobalBase + K] =
+          AbstractValue::topOf(Ctx.Globals[K]->type());
   }
 
   AbstractValue evalCall(const Instruction *I, AbsState &S, bool Record) {
@@ -291,23 +337,23 @@ private:
       // Give up on the call: result top, globals havoc, callee facts are
       // no longer certificates.
       Ctx.invalidateFrom(Callee);
-      for (auto &[G, V] : S.Globals)
-        V = AbstractValue::topOf(G->type());
+      havocGlobals(S);
       return AbstractValue::topOf(I->type());
     }
+    FuncInfo &CI = Ctx.info(*Callee);
     AbsState Entry;
     Entry.Reachable = true;
+    Entry.Slots.resize(CI.NumSlots);
     for (unsigned K = 0; K < Callee->numArgs(); ++K)
-      Entry.Env[Callee->arg(K)] = lookup(I->operand(K), S);
-    Entry.Globals = S.Globals;
+      Entry.Slots[K] = lookup(I->operand(K), S); // arguments come first
+    std::copy(S.Slots.begin() + FI.GlobalBase, S.Slots.end(),
+              Entry.Slots.begin() + CI.GlobalBase);
     Ctx.Stack.push_back(Callee);
-    Engine Inner(*Callee, Ctx);
-    CallSummary Sum = Inner.run(std::move(Entry), Record);
+    CallSummary Sum = Engine(*Callee, CI, Ctx).run(std::move(Entry), Record);
     Ctx.Stack.pop_back();
     if (!Ctx.Complete) {
       Ctx.invalidateFrom(Callee);
-      for (auto &[G, V] : S.Globals)
-        V = AbstractValue::topOf(G->type());
+      havocGlobals(S);
       return AbstractValue::topOf(I->type());
     }
     if (!Sum.MayReturn) {
@@ -315,8 +361,21 @@ private:
       S.Reachable = false;
       return AbstractValue::bottomOf(I->type());
     }
-    S.Globals = Sum.ExitGlobals;
+    std::copy(Sum.ExitGlobals.begin(), Sum.ExitGlobals.end(),
+              S.Slots.begin() + FI.GlobalBase);
     return Sum.Ret;
+  }
+
+  void recordCmp(const Instruction *I, const AbsState &S) {
+    auto &Slot = Ctx.CmpOps[I];
+    AbstractValue A = lookup(I->operand(0), S);
+    AbstractValue Bv = lookup(I->operand(1), S);
+    if (Slot.first.Ty == Type::Void) {
+      Slot = {A, Bv};
+    } else {
+      Slot.first = Slot.first.join(A);
+      Slot.second = Slot.second.join(Bv);
+    }
   }
 
   AbstractValue evalInst(const Instruction *I, AbsState &S, bool Record) {
@@ -368,34 +427,14 @@ private:
       return AbstractValue::ofDouble(absFMax(D(0), D(1)));
     case Opcode::Floor:
       return AbstractValue::ofDouble(absFloor(D(0)));
-    case Opcode::FCmp: {
-      if (Record) {
-        auto &Slot = Ctx.CmpOps[I];
-        AbstractValue A = lookup(I->operand(0), S);
-        AbstractValue Bv = lookup(I->operand(1), S);
-        if (Slot.first.Ty == Type::Void) {
-          Slot = {A, Bv};
-        } else {
-          Slot.first = Slot.first.join(A);
-          Slot.second = Slot.second.join(Bv);
-        }
-      }
+    case Opcode::FCmp:
+      if (Record)
+        recordCmp(I, S);
       return AbstractValue::ofBool(absFCmp(I->pred(), D(0), D(1)));
-    }
-    case Opcode::ICmp: {
-      if (Record) {
-        auto &Slot = Ctx.CmpOps[I];
-        AbstractValue A = lookup(I->operand(0), S);
-        AbstractValue Bv = lookup(I->operand(1), S);
-        if (Slot.first.Ty == Type::Void) {
-          Slot = {A, Bv};
-        } else {
-          Slot.first = Slot.first.join(A);
-          Slot.second = Slot.second.join(Bv);
-        }
-      }
+    case Opcode::ICmp:
+      if (Record)
+        recordCmp(I, S);
       return AbstractValue::ofBool(absICmp(I->pred(), N(0), N(1)));
-    }
     case Opcode::IAdd:
       return AbstractValue::ofInt(absIAdd(N(0), N(1)));
     case Opcode::ISub:
@@ -448,42 +487,36 @@ private:
       return R;
     }
     case Opcode::Alloca: {
-      auto It = S.Cells.find(I);
+      AbstractValue &Cell = S.Slots[FI.CellSlot.at(I)];
       AbstractValue Zero = zeroOf(I->type());
-      if (It == S.Cells.end())
-        S.Cells.emplace(I, Zero);
-      else
-        // Loop re-entry: the VM's frame slot keeps its old value while a
-        // fresh interpreter slot would read zero; cover both.
-        It->second = It->second.join(Zero);
+      // On loop re-entry the VM's frame slot keeps its old value while a
+      // fresh interpreter slot would read zero; cover both.
+      Cell = defined(Cell) ? Cell.join(Zero) : Zero;
       // The runtime value is the slot ordinal, a small nonnegative int.
       return AbstractValue::ofInt(
           IntInterval::range(0, std::numeric_limits<int64_t>::max()));
     }
     case Opcode::Load: {
-      const auto *Slot = cast<Instruction>(I->operand(0));
-      auto It = S.Cells.find(Slot);
-      return It != S.Cells.end() ? It->second : zeroOf(I->type());
+      auto It = FI.CellSlot.find(cast<Instruction>(I->operand(0)));
+      if (It != FI.CellSlot.end() && defined(S.Slots[It->second]))
+        return S.Slots[It->second];
+      return zeroOf(I->type());
     }
     case Opcode::Store: {
-      const auto *Slot = cast<Instruction>(I->operand(0));
-      S.Cells[Slot] = lookup(I->operand(1), S);
+      auto It = FI.CellSlot.find(cast<Instruction>(I->operand(0)));
+      if (It != FI.CellSlot.end())
+        S.Slots[It->second] = lookup(I->operand(1), S);
       return AbstractValue::bottomOf(Type::Void);
     }
     case Opcode::LoadGlobal: {
       const auto *G = cast<GlobalVar>(I->operand(0));
-      auto It = S.Globals.find(G);
-      if (It != S.Globals.end())
-        return It->second;
-      return G->type() == Type::Double
-                 ? AbstractValue::ofDouble(FPInterval::point(G->initDouble()))
-                 : AbstractValue::ofInt(IntInterval::point(G->initInt()));
+      const AbstractValue &V = globalSlot(S, G);
+      return defined(V) ? V : initialValue(G);
     }
-    case Opcode::StoreGlobal: {
-      const auto *G = cast<GlobalVar>(I->operand(0));
-      S.Globals[G] = lookup(I->operand(1), S);
+    case Opcode::StoreGlobal:
+      globalSlot(S, cast<GlobalVar>(I->operand(0))) =
+          lookup(I->operand(1), S);
       return AbstractValue::bottomOf(Type::Void);
-    }
     case Opcode::SiteEnabled:
       // Runtime-gated (Algorithm 3's evolving L): either answer possible.
       return AbstractValue::ofBool(BoolAbs::top());
@@ -498,8 +531,27 @@ private:
     return AbstractValue::bottomOf(Type::Void);
   }
 
-  /// Refines \p S along a condbr edge; returns false when infeasible.
-  bool refineEdge(const Instruction *CondBr, bool TakenTrue, AbsState &S) {
+  /// Overwrites the slot of \p V in \p S, logging the old value in \p U.
+  void write(AbsState &S, const Value *V, const AbstractValue &A,
+             Undo &U) const {
+    unsigned K = FI.ValueSlot.at(V);
+    U.Slot[U.N] = K;
+    U.Old[U.N] = S.Slots[K];
+    ++U.N;
+    S.Slots[K] = A;
+  }
+
+  static void undo(AbsState &S, Undo &U) {
+    while (U.N) {
+      --U.N;
+      S.Slots[U.Slot[U.N]] = U.Old[U.N];
+    }
+  }
+
+  /// Refines \p S in place along a condbr edge, logging every write in
+  /// \p U; returns false when the edge is infeasible.
+  bool refineEdge(const Instruction *CondBr, bool TakenTrue, AbsState &S,
+                  Undo &U) const {
     const Value *Cond = CondBr->operand(0);
     bool Want = TakenTrue;
     // Peel BNot chains so the refinement reaches the comparison.
@@ -509,13 +561,16 @@ private:
       Want = !Want;
       Cond = CI->operand(0);
     }
+    auto Writable = [](const Value *V) {
+      return isa<Instruction>(V) || isa<Argument>(V);
+    };
     // Pin the condition (and the peeled chain root) on this edge.
     AbstractValue CondAbs = lookup(CondBr->operand(0), S);
     if (!CondAbs.B.contains(TakenTrue))
       return false;
-    if (isa<Instruction>(CondBr->operand(0)) ||
-        isa<Argument>(CondBr->operand(0)))
-      S.Env[CondBr->operand(0)] = AbstractValue::ofBool(BoolAbs::point(TakenTrue));
+    if (Writable(CondBr->operand(0)))
+      write(S, CondBr->operand(0),
+            AbstractValue::ofBool(BoolAbs::point(TakenTrue)), U);
 
     const auto *Cmp = dyn_cast<Instruction>(Cond);
     if (!Cmp ||
@@ -530,39 +585,40 @@ private:
       Feasible = refineICmp(Cmp->pred(), Want, A.I, B.I);
     if (!Feasible)
       return false;
-    auto Writable = [](const Value *V) {
-      return isa<Instruction>(V) || isa<Argument>(V);
-    };
     if (Writable(Cmp->operand(0)))
-      S.Env[Cmp->operand(0)] = A;
+      write(S, Cmp->operand(0), A, U);
     if (Cmp->operand(1) != Cmp->operand(0) && Writable(Cmp->operand(1)))
-      S.Env[Cmp->operand(1)] = B;
+      write(S, Cmp->operand(1), B, U);
     return true;
   }
 
-  EdgeList transferBlock(const BasicBlock *BB, const AbsState &In,
-                         bool Record, CallSummary *Sum = nullptr) {
-    EdgeList Out;
+  /// Runs block \p Idx from \p In and hands each feasible out-edge's
+  /// state to \p Emit(successor index, state). \p In is copied before the
+  /// first Emit, so Emit may update the in-state of any block.
+  template <typename EmitT>
+  void transferBlock(unsigned Idx, const AbsState &In, bool Record,
+                     CallSummary *Sum, EmitT Emit) {
     if (!In.Reachable)
-      return Out;
+      return;
     AbsState S = In;
-    for (const auto &InstPtr : *BB) {
+    for (const auto &InstPtr : *FI.RPO[Idx]) {
       const Instruction *I = InstPtr.get();
       if (!S.Reachable)
-        return Out;
+        return;
       if (I->isTerminator()) {
         switch (I->opcode()) {
         case Opcode::Br:
-          Out.emplace_back(I->successor(0), S);
+          Emit(FI.Order.at(I->successor(0)), S);
           break;
         case Opcode::CondBr: {
           BoolAbs Feas;
           for (bool Dir : {true, false}) {
-            AbsState Edge = S;
-            if (refineEdge(I, Dir, Edge)) {
+            Undo U;
+            if (refineEdge(I, Dir, S, U)) {
               (Dir ? Feas.MayTrue : Feas.MayFalse) = true;
-              Out.emplace_back(I->successor(Dir ? 0 : 1), std::move(Edge));
+              Emit(FI.Order.at(I->successor(Dir ? 0 : 1)), S);
             }
+            undo(S, U);
           }
           if (Record) {
             auto It = Ctx.EdgeFeas.find(I);
@@ -578,52 +634,42 @@ private:
             Sum->MayReturn = true;
             if (I->numOperands() > 0)
               Sum->Ret = Sum->Ret.join(lookup(I->operand(0), S));
-            for (const auto &[G, V] : S.Globals) {
-              auto It = Sum->ExitGlobals.find(G);
-              if (It == Sum->ExitGlobals.end())
-                Sum->ExitGlobals.emplace(G, V);
-              else
-                It->second = It->second.join(V);
+            for (size_t K = 0; K < Sum->ExitGlobals.size(); ++K) {
+              const AbstractValue &G = S.Slots[FI.GlobalBase + K];
+              AbstractValue &Exit = Sum->ExitGlobals[K];
+              if (defined(G))
+                Exit = defined(Exit) ? Exit.join(G) : G;
             }
           }
           break;
-        case Opcode::Trap:
-          break; // execution stops; nothing to propagate
         default:
-          break;
+          break; // trap: execution stops; nothing to propagate
         }
-        return Out;
+        return;
       }
       AbstractValue R = evalInst(I, S, Record);
       if (!S.Reachable)
-        return Out; // a no-return call ended the block
+        return; // a no-return call ended the block
       if (I->type() != Type::Void) {
         if (R.isBottom())
           // No concrete value can exist here; the rest of the block (and
           // its successors) is unreachable from this state.
-          return Out;
-        S.Env[I] = R;
+          return;
+        unsigned K = FI.ValueSlot.at(I);
+        S.Slots[K] = R;
         if (Record) {
-          auto It = Ctx.Facts.find(I);
-          if (It == Ctx.Facts.end())
-            Ctx.Facts.emplace(I, R);
-          else
-            It->second = It->second.join(R);
+          AbstractValue &Fact = FI.Facts[K];
+          Fact = defined(Fact) ? Fact.join(R) : R;
         }
       }
     }
-    return Out; // unterminated block (under construction): dead end
+    // Unterminated block (under construction): dead end.
   }
 
   const Function &F;
+  FuncInfo &FI;
   SharedCtx &Ctx;
-  DominatorInfo Dom;
-  std::unordered_map<const BasicBlock *, unsigned> RPOIndex;
-  std::unordered_map<const BasicBlock *, std::vector<const BasicBlock *>>
-      Preds;
-  std::unordered_set<const BasicBlock *> LoopHeads;
-  std::unordered_map<const BasicBlock *, AbsState> InState;
-  std::unordered_map<const BasicBlock *, unsigned> JoinCount;
+  std::vector<AbsState> InState; ///< By RPO index.
 };
 
 } // namespace
@@ -635,49 +681,48 @@ private:
 struct FunctionAnalysis::Impl {
   const Function *F = nullptr;
   SharedCtx Ctx;
-  std::unordered_map<const BasicBlock *, bool> BlockReach;
+  /// Entry-function block reachability, by RPO index.
+  std::vector<char> BlockReach;
 };
 
 FunctionAnalysis::FunctionAnalysis(const Function &F, AnalysisOptions Opts)
     : P(std::make_unique<Impl>()) {
   P->F = &F;
-  P->Ctx.Opts = std::move(Opts);
+  SharedCtx &Ctx = P->Ctx;
+  Ctx.Opts = std::move(Opts);
+  const Module *M = F.parent();
+  for (size_t K = 0; K < M->numGlobals(); ++K) {
+    Ctx.Globals.push_back(M->global(K));
+    Ctx.GlobalIndex.emplace(M->global(K), static_cast<unsigned>(K));
+  }
 
+  FuncInfo &FI = Ctx.info(F);
   AbsState Entry;
   Entry.Reachable = true;
+  Entry.Slots.resize(FI.NumSlots);
   unsigned DoubleOrdinal = 0;
   for (unsigned K = 0; K < F.numArgs(); ++K) {
     const Argument *A = F.arg(K);
     AbstractValue V = AbstractValue::topOf(A->type());
     if (A->type() == Type::Double) {
-      if (DoubleOrdinal < P->Ctx.Opts.ArgRanges.size())
-        V = AbstractValue::ofDouble(P->Ctx.Opts.ArgRanges[DoubleOrdinal]);
+      if (DoubleOrdinal < Ctx.Opts.ArgRanges.size())
+        V = AbstractValue::ofDouble(Ctx.Opts.ArgRanges[DoubleOrdinal]);
       ++DoubleOrdinal;
     }
-    Entry.Env[A] = V;
+    Entry.Slots[K] = V;
   }
-  const Module *M = F.parent();
-  for (size_t K = 0; K < M->numGlobals(); ++K) {
-    const GlobalVar *G = M->global(K);
-    Entry.Globals[G] =
-        G->type() == Type::Double
-            ? AbstractValue::ofDouble(FPInterval::point(G->initDouble()))
-            : AbstractValue::ofInt(IntInterval::point(G->initInt()));
-  }
+  for (size_t K = 0; K < Ctx.Globals.size(); ++K)
+    Entry.Slots[FI.GlobalBase + K] = initialValue(Ctx.Globals[K]);
 
-  P->Ctx.Stack.push_back(&F);
-  Engine E(F, P->Ctx);
-  // Fixpoint first (facts recorded only from stable states), then one
-  // recording pass.
-  AbsState EntryCopy = Entry;
-  E.run(std::move(EntryCopy), /*Record=*/false);
-  if (P->Ctx.Complete) {
-    Engine E2(F, P->Ctx);
-    E2.run(std::move(Entry), /*Record=*/true);
-    for (const auto &[BB, St] : E2.inStates())
-      P->BlockReach[BB] = St.Reachable;
-  }
-  P->Ctx.Stack.pop_back();
+  // One run: the fixpoint, then facts recorded in its final pass from the
+  // stable states.
+  Ctx.Stack.push_back(&F);
+  Engine E(F, FI, Ctx);
+  E.run(std::move(Entry), /*Record=*/true);
+  if (Ctx.Complete)
+    for (const AbsState &St : E.inStates())
+      P->BlockReach.push_back(St.Reachable);
+  Ctx.Stack.pop_back();
 }
 
 FunctionAnalysis::~FunctionAnalysis() = default;
@@ -690,30 +735,39 @@ const Function &FunctionAnalysis::function() const { return *P->F; }
 bool FunctionAnalysis::complete() const { return P->Ctx.Complete; }
 
 AbstractValue FunctionAnalysis::factFor(const Instruction *I) const {
-  if (!complete() || P->Ctx.FactsInvalid.count(I->parent()->parent()))
+  const Function *Fn = I->parent()->parent();
+  if (!complete() || P->Ctx.FactsInvalid.count(Fn))
     return AbstractValue::topOf(I->type());
-  auto It = P->Ctx.Facts.find(I);
-  if (It != P->Ctx.Facts.end())
-    return It->second;
+  if (const FuncInfo *FI = P->Ctx.findInfo(Fn)) {
+    int K = FI->slotOf(I);
+    if (K >= 0 && defined(FI->Facts[K]))
+      return FI->Facts[K];
+  }
   return AbstractValue::bottomOf(I->type());
 }
 
 bool FunctionAnalysis::instReached(const Instruction *I) const {
-  if (!complete() || P->Ctx.FactsInvalid.count(I->parent()->parent()))
+  const Function *Fn = I->parent()->parent();
+  if (!complete() || P->Ctx.FactsInvalid.count(Fn))
     return true;
-  if (P->Ctx.Facts.count(I) || P->Ctx.EdgeFeas.count(I))
+  if (const FuncInfo *FI = P->Ctx.findInfo(Fn)) {
+    int K = FI->slotOf(I);
+    if (K >= 0 && defined(FI->Facts[K]))
+      return true;
+  }
+  if (P->Ctx.EdgeFeas.count(I))
     return true;
   // Void instructions other than condbr have no recorded fact; fall back
   // to their block's reachability when they belong to the entry function.
-  auto It = P->BlockReach.find(I->parent());
-  return It != P->BlockReach.end() && It->second;
+  return Fn == P->F && blockReachable(I->parent());
 }
 
 bool FunctionAnalysis::blockReachable(const BasicBlock *BB) const {
   if (!complete())
     return true;
-  auto It = P->BlockReach.find(BB);
-  return It != P->BlockReach.end() && It->second;
+  const FuncInfo *FI = P->Ctx.findInfo(P->F);
+  auto It = FI->Order.find(BB);
+  return It != FI->Order.end() && P->BlockReach[It->second];
 }
 
 bool FunctionAnalysis::edgeFeasible(const Instruction *Branch,

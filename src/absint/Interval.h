@@ -12,8 +12,9 @@
 /// the instruction — under any of the four runtime rounding modes — lies
 /// inside it (the soundness fuzz in tests/AbsIntTests.cpp checks exactly
 /// this). Transfer functions live in Transfer.cpp, which is compiled with
-/// -frounding-math like the execution tiers so fesetround-directed
-/// endpoint computations are not constant-folded away.
+/// -frounding-math like the execution tiers and keeps every
+/// fesetround-directed endpoint behind an optimization barrier, so the
+/// compiler can neither fold nor merge endpoints across rounding modes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -148,9 +149,9 @@ struct AbstractValue {
 //===----------------------------------------------------------------------===//
 
 // Double arithmetic and intrinsics. Every function is sound for execution
-// under any runtime rounding mode: endpoint arithmetic is evaluated with
-// directed rounding (exact IEEE operations) or bracketed by a generous ulp
-// margin (libm calls).
+// under any runtime rounding mode: endpoint arithmetic is rounded outward
+// (exact IEEE operations) or bracketed by a generous ulp margin (libm
+// calls).
 FPInterval absFAdd(const FPInterval &A, const FPInterval &B);
 FPInterval absFSub(const FPInterval &A, const FPInterval &B);
 FPInterval absFMul(const FPInterval &A, const FPInterval &B);

@@ -6,13 +6,22 @@
 //
 // This TU is compiled with -frounding-math (see CMakeLists.txt), the same
 // flag the execution tiers use: endpoint arithmetic here switches the FP
-// environment with fesetround, and the compiler must neither constant-fold
-// nor reorder across those switches. Interval endpoints for the exact IEEE
-// operations (+ - * / sqrt and int<->double conversion) are computed under
-// FE_DOWNWARD / FE_UPWARD, which bounds the concrete result under *any* of
-// the four runtime rounding modes the interpreter supports. libm calls
-// (sin, exp, ...) are not correctly rounded across modes, so their
-// endpoint results are widened by a generous ulp margin instead.
+// environment with fesetround, and the compiler must not constant-fold
+// across those switches. Interval endpoints for the exact IEEE operations
+// (+ - * / sqrt and int->double conversion) are rounded outward, which
+// bounds the concrete result under *any* of the four runtime rounding
+// modes the interpreter supports. libm calls (sin, exp, ...) are not
+// correctly rounded across modes, so their endpoint results are widened
+// by a generous ulp margin instead.
+//
+// -frounding-math alone does not keep GCC from treating fesetround as a
+// no-op for FP values: it CSEs `x * y` computed under FE_DOWNWARD with the
+// same `x * y` under FE_UPWARD, and may move an operation across the
+// switch. So + - * / compute both endpoints of every corner under one
+// FE_UPWARD switch, the lower one as -RU(-x op y) (a different expression,
+// never merged with RU(x op y)), and every operand and result that must
+// stay inside a rounding-mode window passes through pin(), an empty asm
+// the optimizer cannot see through or move across the fesetround calls.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +45,33 @@ constexpr double Inf = std::numeric_limits<double>::infinity();
 /// 8 leaves comfortable headroom without costing any pruning power.
 constexpr unsigned LibmUlps = 8;
 
+/// An optimization barrier: the returned value is opaque to the compiler,
+/// so it is computed exactly where pin() stands (after the fesetround
+/// before it, before the one after it) and is never merged with the same
+/// expression evaluated under another rounding mode.
+inline double pin(double X) {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  asm volatile("" : "+x"(X));
+#elif defined(__GNUC__) && defined(__aarch64__)
+  asm volatile("" : "+w"(X));
+#else
+  volatile double V = X;
+  X = V;
+#endif
+  return X;
+}
+
+/// pin() for the int64 operand of a conversion.
+inline int64_t pinInt(int64_t X) {
+#if defined(__GNUC__)
+  asm volatile("" : "+r"(X));
+#else
+  volatile int64_t V = X;
+  X = V;
+#endif
+  return X;
+}
+
 /// Switches the rounding mode for one endpoint computation and restores
 /// to-nearest on destruction (the process-wide default everywhere else in
 /// wdm; exec::RoundingScope makes the same assumption).
@@ -47,48 +83,37 @@ public:
   DirectedRounding &operator=(const DirectedRounding &) = delete;
 };
 
-/// Corner accumulator: joins non-NaN candidate endpoints, records whether
-/// any candidate was NaN.
-struct Corners {
-  double Lo = Inf;
-  double Hi = -Inf;
-  bool SawNaN = false;
-
-  void add(double Down, double Up) {
-    if (std::isnan(Down) || std::isnan(Up)) {
-      SawNaN = true;
-      return;
-    }
-    Lo = std::min(Lo, Down);
-    Hi = std::max(Hi, Up);
-  }
-};
-
-template <typename OpT>
+/// The four corners of an exact binary IEEE operation on two intervals,
+/// rounded outward under a single FE_UPWARD switch. The upper bound of a
+/// corner is RU(x op y); its lower bound is RD(x op y) = -RU(x' op y'),
+/// where x' = -x, and y' = -y when op is + or - (\p NegateBoth) but
+/// y' = y when op is * or /. A NaN corner (inf - inf, 0 * inf, ...) sets
+/// MayNaN instead of an endpoint.
+template <bool NegateBoth, typename OpT>
 FPInterval cornerOp(const FPInterval &A, const FPInterval &B, OpT Op) {
   FPInterval R = FPInterval::bottom();
   R.MayNaN = A.MayNaN || B.MayNaN;
   if (A.numEmpty() || B.numEmpty())
     return R;
-  Corners C;
-  const double As[2] = {A.Lo, A.Hi};
-  const double Bs[2] = {B.Lo, B.Hi};
-  for (double X : As)
-    for (double Y : Bs) {
-      double Down, Up;
-      {
-        DirectedRounding RM(FE_DOWNWARD);
-        Down = Op(X, Y);
-      }
-      {
-        DirectedRounding RM(FE_UPWARD);
-        Up = Op(X, Y);
-      }
-      C.add(Down, Up);
+  const double Xs[2] = {A.Lo, A.Hi};
+  const double Ys[2] = {B.Lo, B.Hi};
+  double Up[4], Down[4];
+  {
+    DirectedRounding RM(FE_UPWARD);
+    for (unsigned K = 0; K < 4; ++K) {
+      double X = pin(Xs[K >> 1]), Y = pin(Ys[K & 1]);
+      Up[K] = pin(Op(X, Y));
+      Down[K] = -pin(Op(pin(-X), NegateBoth ? pin(-Y) : Y));
     }
-  R.Lo = C.Lo;
-  R.Hi = C.Hi;
-  R.MayNaN = R.MayNaN || C.SawNaN;
+  }
+  for (unsigned K = 0; K < 4; ++K) {
+    if (std::isnan(Up[K]) || std::isnan(Down[K])) {
+      R.MayNaN = true;
+      continue;
+    }
+    R.Lo = std::min(R.Lo, Down[K]);
+    R.Hi = std::max(R.Hi, Up[K]);
+  }
   return R;
 }
 
@@ -290,15 +315,16 @@ FPInterval absint::widenUlps(FPInterval A, unsigned Ulps) {
 //===----------------------------------------------------------------------===//
 
 FPInterval absint::absFAdd(const FPInterval &A, const FPInterval &B) {
-  return cornerOp(A, B, [](double X, double Y) { return X + Y; });
+  return cornerOp<true>(A, B, [](double X, double Y) { return X + Y; });
 }
 
 FPInterval absint::absFSub(const FPInterval &A, const FPInterval &B) {
-  return cornerOp(A, B, [](double X, double Y) { return X - Y; });
+  return cornerOp<true>(A, B, [](double X, double Y) { return X - Y; });
 }
 
 FPInterval absint::absFMul(const FPInterval &A, const FPInterval &B) {
-  FPInterval R = cornerOp(A, B, [](double X, double Y) { return X * Y; });
+  FPInterval R =
+      cornerOp<false>(A, B, [](double X, double Y) { return X * Y; });
   // 0 * inf pairings can hide in the interior (0 need not be an endpoint).
   if (!A.numEmpty() && !B.numEmpty()) {
     if ((A.containsZero() && B.containsInf()) ||
@@ -323,7 +349,8 @@ FPInterval absint::absFDiv(const FPInterval &A, const FPInterval &B) {
       R.MayNaN = true; // inf / inf
     return R;
   }
-  FPInterval Q = cornerOp(A, B, [](double X, double Y) { return X / Y; });
+  FPInterval Q =
+      cornerOp<false>(A, B, [](double X, double Y) { return X / Y; });
   R.Lo = Q.Lo;
   R.Hi = Q.Hi;
   R.MayNaN = R.MayNaN || Q.MayNaN;
@@ -391,11 +418,11 @@ FPInterval absint::absSqrt(const FPInterval &A) {
   double Lo = std::max(A.Lo, 0.0);
   {
     DirectedRounding RM(FE_DOWNWARD);
-    R.Lo = std::sqrt(Lo);
+    R.Lo = pin(std::sqrt(pin(Lo)));
   }
   {
     DirectedRounding RM(FE_UPWARD);
-    R.Hi = std::sqrt(A.Hi);
+    R.Hi = pin(std::sqrt(pin(A.Hi)));
   }
   return R;
 }
@@ -720,11 +747,11 @@ FPInterval absint::absSIToFP(const IntInterval &A) {
   // the result under every runtime mode.
   {
     DirectedRounding RM(FE_DOWNWARD);
-    R.Lo = static_cast<double>(A.Lo);
+    R.Lo = pin(static_cast<double>(pinInt(A.Lo)));
   }
   {
     DirectedRounding RM(FE_UPWARD);
-    R.Hi = static_cast<double>(A.Hi);
+    R.Hi = pin(static_cast<double>(pinInt(A.Hi)));
   }
   return R;
 }

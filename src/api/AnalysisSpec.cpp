@@ -12,6 +12,7 @@
 #include "vm/VMWeakDistance.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 using namespace wdm;
@@ -71,14 +72,23 @@ bool wdm::api::pruneModeByName(const std::string &Name, PruneMode &Out) {
 }
 
 Status wdm::api::checkSearchCount(const std::string &Field, double N) {
-  double Max = UINT32_MAX;
+  uint64_t Max = UINT32_MAX;
   if (Field == "starts")
     Max = 65536;
   else if (Field == "threads")
     Max = 256;
-  if (N > Max)
-    return Status::error(formatf("spec: %s must be at most %.0f, got %.17g",
-                                 Field.c_str(), Max, N));
+  else if (Field == "max_evals" || Field == "seed")
+    Max = UINT64_MAX; // as a double, 2^64: fromJson reads the exact value
+  if (!(N >= 0))
+    return Status::error(formatf("spec: %s must be non-negative, got %.17g",
+                                 Field.c_str(), N));
+  if (N != std::floor(N))
+    return Status::error(formatf("spec: %s must be an integer, got %.17g",
+                                 Field.c_str(), N));
+  if (N > static_cast<double>(Max))
+    return Status::error(
+        formatf("spec: %s must be at most %llu, got %.17g", Field.c_str(),
+                static_cast<unsigned long long>(Max), N));
   return Status::success();
 }
 
@@ -137,10 +147,13 @@ vm::EngineKind SearchConfig::engineKind() const {
   return K;
 }
 
-PruneMode SearchConfig::pruneMode() const {
-  PruneMode M = PruneMode::Off;
-  if (!Prune.empty())
-    pruneModeByName(Prune, M); // Validated at parse time.
+PruneMode wdm::api::effectivePruneMode(const AnalysisSpec &Spec) {
+  PruneMode M = Spec.Task == TaskKind::Overflow ||
+                        Spec.Task == TaskKind::Inconsistency
+                    ? PruneMode::Sites
+                    : PruneMode::Off;
+  if (!Spec.Search.Prune.empty())
+    pruneModeByName(Spec.Search.Prune, M); // Validated at parse time.
   return M;
 }
 
@@ -265,6 +278,21 @@ std::string typeError(const char *Field, const char *Want) {
   return std::string("spec: '") + Field + "' must be a " + Want;
 }
 
+/// Reads unsigned field \p Field from the JSON number \p X: what
+/// checkSearchCount rejects is an error, and so is a number no uint64
+/// holds (a double at 2^64 passes the double bound but would read as 0).
+Status readUnsigned(const Value &X, const std::string &Field,
+                    uint64_t &Out) {
+  if (Status St = checkSearchCount(Field, X.asDouble()); !St.ok())
+    return St;
+  if (!X.asExactUint(Out))
+    return Status::error(formatf("spec: %s must be at most %llu, got %.17g",
+                                 Field.c_str(),
+                                 static_cast<unsigned long long>(UINT64_MAX),
+                                 X.asDouble()));
+  return Status::success();
+}
+
 /// The only strings a numeric slot may carry: the writer's spellings of
 /// the non-finite doubles. Anything else ("1.5" included) is a type
 /// error, not a silent 0.0.
@@ -328,8 +356,11 @@ Expected<AnalysisSpec> AnalysisSpec::fromJson(const json::Value &V) {
       const Value *Br = Leg.find("branch");
       if (!Br || !Br->isNumber())
         return E::error("spec: path leg needs a numeric 'branch'");
+      uint64_t Branch = 0;
+      if (Status St = readUnsigned(*Br, "branch", Branch); !St.ok())
+        return E::error(St.message());
       const Value *Tk = Leg.find("taken");
-      Spec.Path.push_back({static_cast<unsigned>(Br->asUint()),
+      Spec.Path.push_back({static_cast<unsigned>(Branch),
                            Tk ? Tk->asBool(true) : true});
     }
   }
@@ -347,12 +378,18 @@ Expected<AnalysisSpec> AnalysisSpec::fromJson(const json::Value &V) {
   if (const Value *N = V.find("nfp")) {
     if (!N->isNumber())
       return E::error(typeError("nfp", "number"));
-    Spec.NFP = static_cast<unsigned>(N->asUint());
+    uint64_t NFP = 0;
+    if (Status St = readUnsigned(*N, "nfp", NFP); !St.ok())
+      return E::error(St.message());
+    Spec.NFP = static_cast<unsigned>(NFP);
   }
   if (const Value *S = V.find("max_stall")) {
     if (!S->isNumber())
       return E::error(typeError("max_stall", "number"));
-    Spec.MaxStall = static_cast<unsigned>(S->asUint());
+    uint64_t Stall = 0;
+    if (Status St = readUnsigned(*S, "max_stall", Stall); !St.ok())
+      return E::error(St.message());
+    Spec.MaxStall = static_cast<unsigned>(Stall);
   }
   if (const Value *P = V.find("probes")) {
     if (!P->isArray())
@@ -399,26 +436,32 @@ Expected<AnalysisSpec> AnalysisSpec::fromJson(const json::Value &V) {
         if (!F.AllowNegative && X->isNumber() && X->asDouble() < 0)
           return E::error(typeError(F.Name, "non-negative number"));
       }
-    for (const char *Field : {"starts", "threads", "batch"})
-      if (const Value *X = S->find(Field))
-        if (Status St = checkSearchCount(Field, X->asDouble()); !St.ok())
-          return E::error(St.message());
-    if (const Value *X = S->find("max_evals"))
-      Spec.Search.MaxEvals = X->asUint();
-    if (const Value *X = S->find("starts"))
-      Spec.Search.Starts = static_cast<unsigned>(X->asUint());
-    if (const Value *X = S->find("seed"))
-      Spec.Search.Seed = X->asUint();
+    // Unsigned fields are read exactly: a silent 0 or a narrowed value
+    // would run a different search than the one asked for.
+    std::string Err;
+    auto ReadUnsigned = [&](const char *Field, auto &Out) {
+      const Value *X = S->find(Field);
+      uint64_t N = 0;
+      if (!X || !Err.empty())
+        return;
+      if (Status St = readUnsigned(*X, Field, N); !St.ok())
+        Err = St.message();
+      else
+        Out = static_cast<typename std::decay_t<decltype(Out)>::value_type>(N);
+    };
+    ReadUnsigned("max_evals", Spec.Search.MaxEvals);
+    ReadUnsigned("starts", Spec.Search.Starts);
+    ReadUnsigned("seed", Spec.Search.Seed);
+    ReadUnsigned("threads", Spec.Search.Threads);
+    ReadUnsigned("batch", Spec.Search.Batch);
+    if (!Err.empty())
+      return E::error(Err);
     if (const Value *X = S->find("start_lo"))
       Spec.Search.StartLo = X->asDouble();
     if (const Value *X = S->find("start_hi"))
       Spec.Search.StartHi = X->asDouble();
     if (const Value *X = S->find("wild_start_prob"))
       Spec.Search.WildStartProb = X->asDouble();
-    if (const Value *X = S->find("threads"))
-      Spec.Search.Threads = static_cast<unsigned>(X->asUint());
-    if (const Value *X = S->find("batch"))
-      Spec.Search.Batch = static_cast<unsigned>(X->asUint());
     if (const Value *X = S->find("backends")) {
       if (!X->isArray())
         return E::error("spec: 'backends' must be an array of names");

@@ -67,12 +67,15 @@ const char *pruneModeName(PruneMode M);
 /// Parses "off", "sites", "sites+box"; false on unknown names.
 bool pruneModeByName(const std::string &Name, PruneMode &Out);
 
-/// Rejects the search count \p N of \p Field ("starts", "threads" or
-/// "batch") above its bound: 65536 starts, 256 threads, and UINT32_MAX
-/// for all three (their fields are unsigned). Starts are planned up
-/// front and threads are OS threads, so a count far beyond any real run
-/// only exhausts the process (or the daemon serving it). \p N is a
-/// double so that a JSON number of any form compares exactly.
+/// Rejects the value \p N of unsigned spec field \p Field when it is
+/// negative, not an integer, or above its bound: 65536 "starts", 256
+/// "threads", UINT64_MAX for "max_evals" and "seed", and UINT32_MAX for
+/// every other field ("batch", "nfp", "max_stall", a path leg's
+/// "branch"), whose members are unsigned. Starts are planned up front
+/// and threads are OS threads, so a count far beyond any real run only
+/// exhausts the process (or the daemon serving it); an out-of-range
+/// value would otherwise narrow or read as 0. \p N is a double so that a
+/// JSON number of any form compares exactly.
 Status checkSearchCount(const std::string &Field, double N);
 
 /// Where the subject module comes from. Builtin names resolve through
@@ -120,18 +123,18 @@ struct SearchConfig {
   /// is native code already.
   std::string Engine;
   /// Static pre-pass (src/absint/): "off" | "sites" | "sites+box".
-  /// Empty = unset, which resolves to "off". "sites" classifies the
-  /// instrumented sites and drops proved ones from the search objective;
-  /// "sites+box" additionally shrinks the start box to the slices from
-  /// which a target is still feasible. Findings are never affected —
-  /// only where the eval budget goes.
+  /// Empty = unset, which resolves per task (see effectivePruneMode).
+  /// "sites" classifies the instrumented sites and drops proved ones
+  /// from the search objective; "sites+box" additionally shrinks the
+  /// start box to the slices from which a target is still feasible.
+  /// "off" is the paper-exact search. The intervals are rounded outward,
+  /// so a dropped site provably cannot fire and no finding is lost; the
+  /// remaining rounds draw a shifted RNG stream, so individual witnesses
+  /// may differ from an "off" run.
   std::string Prune;
 
   /// The resolved execution tier (unset maps to vm::EngineKind::Tiered).
   vm::EngineKind engineKind() const;
-
-  /// The resolved pre-pass mode (unset and "off" both map to Off).
-  PruneMode pruneMode() const;
 
   /// The shared env-override policy of the CLI, examples, and benches:
   /// a config whose Starts/Threads/Seed are set from $WDM_STARTS /
@@ -196,6 +199,14 @@ struct AnalysisSpec {
   static Expected<AnalysisSpec> fromJson(const json::Value &V);
   static Expected<AnalysisSpec> parse(std::string_view JsonText);
 };
+
+/// The pre-pass mode \p Spec runs with. An explicit search.prune wins.
+/// Unset resolves to Sites for the two Algorithm 3 tasks (overflow and
+/// inconsistency), where retiring provably futile rounds costs less than
+/// it saves, and to Off for every other task, whose short runs cannot
+/// earn the pre-pass back. Unset stays absent from the spec's JSON, so
+/// spec hashes and warm keys do not depend on this default.
+PruneMode effectivePruneMode(const AnalysisSpec &Spec);
 
 /// The human label of a spec's subject: the module source text, or the
 /// constraint for the module-free fpsat task. The one spelling shared

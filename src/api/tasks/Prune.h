@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared "search.prune" flow of the four IR-backed task adapters:
-/// run the absint pre-pass over the original subject, classify the
-/// instrumented sites, drop proved ones from the search objective, and
-/// (in sites+box mode) shrink the start box. Findings are never affected
-/// — a dropped site provably cannot fire — only where the eval budget
-/// goes. Everything that ran lands in Report::Static.
+/// The shared "search.prune" flow of the IR-backed task adapters: run the
+/// absint pre-pass over the original subject, classify the instrumented
+/// sites, drop proved ones from the search objective, and (in sites+box
+/// mode) shrink the start box. The intervals are rounded outward, so a
+/// dropped site provably cannot fire under any rounding mode and no
+/// finding is lost; what changes is where the eval budget goes (and, with
+/// it, the RNG stream the remaining rounds draw). Everything that ran
+/// lands in Report::Static.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,12 +62,28 @@ struct PrunePlan {
   }
 };
 
-/// Runs the pre-pass over \p Ctx's subject when the spec asks for it.
-/// Argument intervals stay top: searchers draw wild starts over all of
-/// F^N, so only input-independent facts are certificates here.
+/// The absint.* counters, interned once: the pre-pass runs on every
+/// overflow and inconsistency job by default.
+struct PruneCounters {
+  obs::Counter PrepassRuns = obs::counter("absint.prepass_runs");
+  obs::Counter SitesTotal = obs::counter("absint.sites_total");
+  obs::Counter SitesPruned = obs::counter("absint.sites_pruned");
+  obs::Counter SitesProvedSafe = obs::counter("absint.sites_proved_safe");
+  obs::Counter BoxesShrunk = obs::counter("absint.boxes_shrunk");
+};
+
+inline PruneCounters &pruneCounters() {
+  static PruneCounters C;
+  return C;
+}
+
+/// Runs the pre-pass over \p Ctx's subject when the spec's effective
+/// mode (effectivePruneMode) asks for it. Argument intervals stay top:
+/// searchers draw wild starts over all of F^N, so only input-independent
+/// facts are certificates here.
 inline PrunePlan planPrune(const TaskContext &Ctx) {
   PrunePlan P;
-  P.Mode = Ctx.Spec.Search.pruneMode();
+  P.Mode = effectivePruneMode(Ctx.Spec);
   P.Clock0 = std::chrono::steady_clock::now();
   if (P.Mode == PruneMode::Off || !Ctx.F)
     return P;
@@ -73,7 +91,8 @@ inline PrunePlan planPrune(const TaskContext &Ctx) {
     obs::ScopedSpan Span("absint_prepass");
     P.FA = std::make_unique<absint::FunctionAnalysis>(*Ctx.F);
   }
-  obs::count("absint.prepass_runs");
+  if (obs::enabled())
+    pruneCounters().PrepassRuns.add();
   P.stamp();
   return P;
 }
@@ -152,11 +171,12 @@ inline void fillStatic(Report &Rep, const PrunePlan &P) {
   if (!P.ran())
     return;
   if (obs::enabled()) {
-    obs::count("absint.sites_total", P.SitesTotal);
-    obs::count("absint.sites_pruned", P.Dropped.size());
-    obs::count("absint.sites_proved_safe", P.ProvedSafe);
+    PruneCounters &C = pruneCounters();
+    C.SitesTotal.add(P.SitesTotal);
+    C.SitesPruned.add(P.Dropped.size());
+    C.SitesProvedSafe.add(P.ProvedSafe);
     if (P.BoxShrunk)
-      obs::count("absint.boxes_shrunk");
+      C.BoxesShrunk.add();
   }
   Rep.Static.Ran = true;
   Rep.Static.Mode = pruneModeName(P.Mode);

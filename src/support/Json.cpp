@@ -159,6 +159,27 @@ uint64_t Value::asUint(uint64_t Default) const {
   return Default;
 }
 
+bool Value::asExactUint(uint64_t &Out) const {
+  if (K != Kind::Number)
+    return false;
+  switch (NF) {
+  case NumForm::UInt:
+    Out = UNum;
+    return true;
+  case NumForm::Int:
+    if (INum < 0)
+      return false;
+    Out = static_cast<uint64_t>(INum);
+    return true;
+  case NumForm::Double:
+    if (!(Num >= 0 && Num < 1.8446744073709552e19) || Num != std::floor(Num))
+      return false;
+    Out = static_cast<uint64_t>(Num);
+    return true;
+  }
+  return false;
+}
+
 int64_t Value::asInt(int64_t Default) const {
   if (K != Kind::Number)
     return Default;

@@ -72,6 +72,10 @@ public:
   /// Numeric access; the string forms "inf"/"-inf"/"nan" convert too.
   double asDouble(double Default = 0.0) const;
   uint64_t asUint(uint64_t Default = 0) const;
+  /// Exact unsigned access: sets \p Out and returns true when the number
+  /// is a non-negative integer below 2^64, in any literal form; false
+  /// (and \p Out untouched) otherwise.
+  bool asExactUint(uint64_t &Out) const;
   int64_t asInt(int64_t Default = 0) const;
   const std::string &asString() const; ///< Empty for non-strings.
 

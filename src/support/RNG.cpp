@@ -85,8 +85,10 @@ uint64_t RNG::below(uint64_t N) {
 
 int64_t RNG::intIn(int64_t Lo, int64_t Hi) {
   assert(Lo <= Hi && "empty integer range");
-  return Lo + static_cast<int64_t>(
-                  below(static_cast<uint64_t>(Hi - Lo) + 1));
+  // Modulo-2^64 arithmetic: Hi - Lo overflows int64 for ranges wider
+  // than 2^63, and the result is the same bits either way.
+  uint64_t Span = static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo);
+  return static_cast<int64_t>(static_cast<uint64_t>(Lo) + below(Span + 1));
 }
 
 bool RNG::chance(double P) { return uniform() < P; }

@@ -6,7 +6,9 @@
 // rounding mode*: every concrete value the interpreter produces must lie
 // inside the static interval the analysis certified for that
 // instruction. The fuzz half of this file enforces exactly that over
-// randomized forward-CFG modules; the unit half pins the precision the
+// randomized forward-CFG modules, and the transfer half pins it per
+// operation on inexact point and 1-ulp operands, where a bound that is
+// not rounded outward shows; the unit half pins the precision the
 // pruning consumers rely on (infeasible edges, impossible equalities,
 // proved-finite ranges, start-box shrinking).
 //
@@ -18,11 +20,15 @@
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "support/FPUtils.h"
+#include "subjects/Fig1.h"
+#include "support/Casting.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <memory>
 
 #include "RandomModule.h"
 
@@ -183,6 +189,191 @@ TEST(AbsIntSoundnessFuzz, SitesDisabledStillSound) {
       E.run(F, Args, Ctx, {});
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Transfer soundness: each exact IEEE operation, every rounding mode
+//===----------------------------------------------------------------------===//
+
+/// One-instruction functions of the operations whose endpoints are
+/// rounded outward (+ - * / sqrt and int -> double), evaluated by the
+/// interpreter under a chosen rounding mode: the concrete side of the
+/// containment check.
+struct OneOpModule {
+  enum Op { Add, Sub, Mul, Div, Sqrt, Conv, NumOps };
+
+  ir::Module M{"oneop"};
+  const ir::Function *Fns[NumOps] = {};
+
+  OneOpModule() {
+    ir::IRBuilder B(M);
+    for (int K = 0; K < NumOps; ++K) {
+      ir::Function *F = M.addFunction("op" + std::to_string(K),
+                                      ir::Type::Double);
+      ir::Argument *X =
+          F->addArg(K == Conv ? ir::Type::Int : ir::Type::Double, "x");
+      ir::Argument *Y = K < Sqrt ? F->addArg(ir::Type::Double, "y") : nullptr;
+      B.setInsertAppend(F->addBlock("entry"));
+      ir::Value *R = nullptr;
+      switch (K) {
+      case Add:
+        R = B.fadd(X, Y);
+        break;
+      case Sub:
+        R = B.fsub(X, Y);
+        break;
+      case Mul:
+        R = B.fmul(X, Y);
+        break;
+      case Div:
+        R = B.fdiv(X, Y);
+        break;
+      case Sqrt:
+        R = B.sqrt(X);
+        break;
+      default:
+        R = B.sitofp(X);
+        break;
+      }
+      B.ret(R);
+      Fns[K] = F;
+    }
+    E = std::make_unique<exec::Engine>(M); // numbers the finished module
+  }
+
+  double run(Op K, std::vector<exec::RTValue> Args,
+             exec::RoundingMode RM) const {
+    exec::ExecOptions Opts;
+    Opts.Rounding = RM;
+    exec::ExecContext Ctx(M);
+    return E->run(Fns[K], Args, Ctx, Opts).ReturnValue.asDouble();
+  }
+
+private:
+  std::unique_ptr<exec::Engine> E;
+};
+
+const exec::RoundingMode AllModes[] = {
+    exec::RoundingMode::NearestEven, exec::RoundingMode::TowardZero,
+    exec::RoundingMode::Upward, exec::RoundingMode::Downward};
+
+std::string hex(double V) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof Buf, "%a", V);
+  return Buf;
+}
+
+/// Checks that abs(A, B) contains OneOpModule's concrete result for every
+/// pair of members of A and B (each has at most two) under every mode.
+void expectBinaryContains(const OneOpModule &Ops, OneOpModule::Op K,
+                          const absint::FPInterval &A,
+                          const absint::FPInterval &B) {
+  using Fn = absint::FPInterval (*)(const absint::FPInterval &,
+                                    const absint::FPInterval &);
+  const Fn Abs[] = {absint::absFAdd, absint::absFSub, absint::absFMul,
+                    absint::absFDiv};
+  absint::FPInterval R = Abs[K](A, B);
+  for (double X : {A.Lo, A.Hi})
+    for (double Y : {B.Lo, B.Hi})
+      for (exec::RoundingMode RM : AllModes) {
+        double C = Ops.run(K, {exec::RTValue::ofDouble(X),
+                               exec::RTValue::ofDouble(Y)},
+                           RM);
+        EXPECT_TRUE(R.contains(C))
+            << "op " << K << " rm " << static_cast<int>(RM) << ": " << hex(X)
+            << ", " << hex(Y) << " -> " << hex(C) << " outside [" << hex(R.Lo)
+            << ", " << hex(R.Hi) << "] maynan=" << R.MayNaN;
+      }
+}
+
+TEST(AbsIntTransfer, PointOpsContainEveryRoundingMode) {
+  OneOpModule Ops;
+  // Inexact operations whose bounds a single rounding direction misses
+  // (0.1*3 and 0.1+0.2 round differently up and down; 1e308*10 overflows
+  // to inf upward but to MAX downward).
+  const double Named[][2] = {{0.1, 3.0}, {0.1, 0.2}, {1.0, 3.0},
+                             {1e308, 10.0}};
+  for (const auto &P : Named)
+    for (int K = OneOpModule::Add; K <= OneOpModule::Div; ++K)
+      expectBinaryContains(Ops, static_cast<OneOpModule::Op>(K),
+                           absint::FPInterval::point(P[0]),
+                           absint::FPInterval::point(P[1]));
+
+  RNG Rand(0x7a5f);
+  auto Draw = [&]() {
+    // Half ordinary magnitudes (rounding in every op), half anywhere in
+    // F (overflow and underflow).
+    if (Rand.chance(0.5))
+      return Rand.anyFiniteDouble();
+    double V = std::ldexp(Rand.uniform(1.0, 2.0),
+                          static_cast<int>(Rand.intIn(-40, 40)));
+    return Rand.chance(0.5) ? -V : V;
+  };
+  auto Operand = [&](double V, bool Wide) {
+    return absint::FPInterval::range(V, Wide ? nextUp(V) : V);
+  };
+  for (unsigned N = 0; N < 300; ++N) {
+    double X = Draw(), Y = Draw();
+    for (bool WideX : {false, true})
+      for (bool WideY : {false, true})
+        for (int K = OneOpModule::Add; K <= OneOpModule::Div; ++K)
+          expectBinaryContains(Ops, static_cast<OneOpModule::Op>(K),
+                               Operand(X, WideX), Operand(Y, WideY));
+
+    double Root = std::fabs(X);
+    for (bool Wide : {false, true}) {
+      absint::FPInterval A = Operand(Root, Wide);
+      absint::FPInterval R = absint::absSqrt(A);
+      for (double V : {A.Lo, A.Hi})
+        for (exec::RoundingMode RM : AllModes) {
+          double C =
+              Ops.run(OneOpModule::Sqrt, {exec::RTValue::ofDouble(V)}, RM);
+          EXPECT_TRUE(R.contains(C)) << "sqrt " << hex(V) << " rm "
+                                     << static_cast<int>(RM) << " -> "
+                                     << hex(C);
+        }
+    }
+
+    // int64 values beyond 2^53 are inexact as doubles.
+    int64_t I = Rand.intIn(-(int64_t(1) << 62), int64_t(1) << 62);
+    for (int64_t Width : {0, 1}) {
+      absint::IntInterval A = absint::IntInterval::range(I, I + Width);
+      absint::FPInterval R = absint::absSIToFP(A);
+      for (int64_t V : {A.Lo, A.Hi})
+        for (exec::RoundingMode RM : AllModes) {
+          double C = Ops.run(OneOpModule::Conv, {exec::RTValue::ofInt(V)}, RM);
+          EXPECT_TRUE(R.contains(C)) << "sitofp " << V << " rm "
+                                     << static_cast<int>(RM) << " -> "
+                                     << hex(C);
+        }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Pruning soundness on the paper's Fig. 1a
+//===----------------------------------------------------------------------===//
+
+TEST(AbsIntPrune, Fig1aKeepsAssertFailEdge) {
+  // x < 1 admits x = 0.9999999999999999, and x + 1 rounds to 2.0 under
+  // to-nearest: the assertion x < 2 can fail. Rounding x + 1 in only one
+  // direction once "proved" the trap edge unreachable.
+  ir::Module M("fig1a");
+  subjects::Fig1 Fig = subjects::buildFig1a(M);
+  absint::FunctionAnalysis FA(*Fig.F);
+  ASSERT_TRUE(FA.complete());
+
+  instr::Site Fail;
+  Fail.Id = 0;
+  Fail.Kind = instr::SiteKind::BranchFalse;
+  Fail.Inst = Fig.AssertBranch;
+  EXPECT_EQ(absint::classifySite(FA, Fail), absint::SiteVerdict::Unknown);
+
+  instr::Site Boundary;
+  Boundary.Id = 1;
+  Boundary.Kind = instr::SiteKind::Comparison;
+  Boundary.Inst = cast<ir::Instruction>(Fig.AssertBranch->operand(0));
+  EXPECT_EQ(absint::classifySite(FA, Boundary), absint::SiteVerdict::Unknown);
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "absint/AbsInt.h"
 #include "analyses/BoundaryAnalysis.h"
 #include "analyses/OverflowDetector.h"
 #include "api/Analyzer.h"
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -305,6 +307,61 @@ TEST(SpecTest, SearchCountsAreBounded) {
   EXPECT_FALSE(checkSearchCount("batch", 4294967296.0).ok());
 }
 
+TEST(SpecTest, UnsignedFieldsAreRangeChecked) {
+  // Parse-time checks only. A double at or beyond 2^64 once read as 0 (a
+  // 0-eval run with seed 0), and a value above UINT32_MAX narrowed
+  // (nfp 4294967297 ran one round).
+  auto Parse = [](const std::string &Fields) {
+    return AnalysisSpec::parse(
+        R"({"task": "boundary", "module": {"builtin": "fig2"}, )" + Fields +
+        "}");
+  };
+  for (const auto &[Fields, Field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"("search": {"max_evals": 1e30, "seed": 1e30})", "max_evals"},
+           {R"("search": {"seed": 1e30})", "seed"},
+           {R"("search": {"seed": 18446744073709551616})", "seed"},
+           {R"("nfp": 4294967297)", "nfp"},
+           {R"("max_stall": 4294967296)", "max_stall"},
+           {R"("path": [{"branch": 4294967297}])", "branch"}}) {
+    Expected<AnalysisSpec> Bad = Parse(Fields);
+    ASSERT_FALSE(Bad.hasValue()) << Fields;
+    EXPECT_NE(Bad.error().find(Field + " must be at most"),
+              std::string::npos)
+        << Bad.error();
+  }
+
+  // Negative and non-integral values are errors too, not truncated.
+  for (const char *Fields :
+       {R"("search": {"max_evals": 2.5})", R"("search": {"seed": 0.5})",
+        R"("nfp": -1)", R"("nfp": 1.5)", R"("max_stall": -3)",
+        R"("path": [{"branch": -1}])", R"("path": [{"branch": 0.5}])"}) {
+    Expected<AnalysisSpec> Bad = Parse(Fields);
+    EXPECT_FALSE(Bad.hasValue()) << Fields;
+  }
+
+  // The full ranges still parse exactly, in any literal form.
+  Expected<AnalysisSpec> AtMax = Parse(
+      R"("nfp": 4294967295, "max_stall": 4294967295,
+         "path": [{"branch": 4294967295}],
+         "search": {"max_evals": 18446744073709551615,
+                    "seed": 18446744073709551615})");
+  ASSERT_TRUE(AtMax.hasValue()) << AtMax.error();
+  EXPECT_EQ(AtMax->NFP, 4294967295u);
+  EXPECT_EQ(*AtMax->MaxStall, 4294967295u);
+  EXPECT_EQ(AtMax->Path[0].Branch, 4294967295u);
+  EXPECT_EQ(*AtMax->Search.MaxEvals, UINT64_MAX);
+  EXPECT_EQ(*AtMax->Search.Seed, UINT64_MAX);
+  Expected<AnalysisSpec> Float = Parse(R"("search": {"max_evals": 3e3})");
+  ASSERT_TRUE(Float.hasValue()) << Float.error();
+  EXPECT_EQ(*Float->Search.MaxEvals, 3000u);
+
+  EXPECT_FALSE(checkSearchCount("nfp", 4294967296.0).ok());
+  EXPECT_FALSE(checkSearchCount("seed", 1e30).ok());
+  EXPECT_FALSE(checkSearchCount("max_evals", 0.5).ok());
+  EXPECT_TRUE(checkSearchCount("max_evals", 1e19).ok());
+}
+
 TEST(SpecTest, AnalyzerRejectsBadSpecs) {
   // Unknown builtin.
   AnalysisSpec Spec;
@@ -412,47 +469,71 @@ TEST(EquivalenceTest, BoundaryMatchesDirectOnQuickstart) {
   EXPECT_EQ(R->UnsoundCandidates, Direct.UnsoundCandidates);
 }
 
-TEST(EquivalenceTest, OverflowMatchesDirectOnBessel) {
-  // Direct fine-grained path on the GSL Bessel model.
-  analyses::OverflowDetector::Options DirectOpts;
-  DirectOpts.Seed = 0xbe55;
-  DirectOpts.EvalsPerRound = 3'000;
-  DirectOpts.StartsPerRound = 2;
-  analyses::OverflowReport Direct = [&] {
-    ir::Module M;
-    gsl::SfFunction Bessel = gsl::buildBesselKnuScaledAsympx(M);
-    analyses::OverflowDetector Det(M, *Bessel.F);
-    return Det.run(DirectOpts);
-  }();
+/// Runs the direct OverflowDetector on the GSL Bessel model with the
+/// knobs of the equivalence tests; with \p Prune, retires the sites the
+/// absint pre-pass proves, exactly as the overflow task adapter does.
+analyses::OverflowReport directBessel(bool Prune) {
+  analyses::OverflowDetector::Options Opts;
+  Opts.Seed = 0xbe55;
+  Opts.EvalsPerRound = 3'000;
+  Opts.StartsPerRound = 2;
+  ir::Module M;
+  gsl::SfFunction Bessel = gsl::buildBesselKnuScaledAsympx(M);
+  analyses::OverflowDetector Det(M, *Bessel.F);
+  if (Prune) {
+    absint::FunctionAnalysis FA(*Bessel.F);
+    for (const absint::SiteReport &R : absint::classifySites(FA, Det.sites()))
+      if (R.Verdict != absint::SiteVerdict::Unknown)
+        Opts.PrunedSites.push_back(R.Id);
+    std::sort(Opts.PrunedSites.begin(), Opts.PrunedSites.end());
+    EXPECT_FALSE(Opts.PrunedSites.empty());
+  }
+  return Det.run(Opts);
+}
 
-  // Declarative path with the same knobs.
-  AnalysisSpec Spec;
-  Spec.Task = TaskKind::Overflow;
-  Spec.Module = ModuleSource::builtin("bessel");
-  Spec.Search.Seed = 0xbe55;
-  Spec.Search.MaxEvals = 3'000; // per-round budget for Algorithm 3
-  Spec.Search.Starts = 2;
-  Expected<Report> R = Analyzer::analyze(Spec);
-  ASSERT_TRUE(R.hasValue()) << R.error();
-
-  // Same findings count, same per-site witnesses, same eval total.
-  EXPECT_EQ(R->Extra.find("num_ops")->asUint(), Direct.NumOps);
-  EXPECT_EQ(R->Extra.find("num_overflows")->asUint(),
-            Direct.numOverflows());
-  EXPECT_EQ(R->Evals, Direct.Evals);
+/// Same findings count, same per-site witnesses, same eval total.
+void expectSameOverflows(const Report &R,
+                         const analyses::OverflowReport &Direct) {
+  EXPECT_EQ(R.Extra.find("num_ops")->asUint(), Direct.NumOps);
+  EXPECT_EQ(R.Extra.find("num_overflows")->asUint(), Direct.numOverflows());
+  EXPECT_EQ(R.Evals, Direct.Evals);
   std::vector<const analyses::OverflowFinding *> Found;
   for (const analyses::OverflowFinding &F : Direct.Findings)
     if (F.Found)
       Found.push_back(&F);
-  ASSERT_EQ(R->count("overflow"), Found.size());
+  ASSERT_EQ(R.count("overflow"), Found.size());
   size_t I = 0;
-  for (const Finding &F : R->Findings) {
+  for (const Finding &F : R.Findings) {
     if (F.Kind != "overflow")
       continue;
     EXPECT_EQ(F.SiteId, Found[I]->SiteId);
     EXPECT_EQ(F.Input, Found[I]->Input);
     ++I;
   }
+}
+
+TEST(EquivalenceTest, OverflowMatchesDirectOnBessel) {
+  // Declarative path with the direct path's knobs. prune "off" is the
+  // paper-exact Algorithm 3 of the direct class; an unset prune runs the
+  // pre-pass, which the direct path reproduces by retiring the same sites.
+  AnalysisSpec Spec;
+  Spec.Task = TaskKind::Overflow;
+  Spec.Module = ModuleSource::builtin("bessel");
+  Spec.Search.Seed = 0xbe55;
+  Spec.Search.MaxEvals = 3'000; // per-round budget for Algorithm 3
+  Spec.Search.Starts = 2;
+
+  Spec.Search.Prune = "off";
+  Expected<Report> Off = Analyzer::analyze(Spec);
+  ASSERT_TRUE(Off.hasValue()) << Off.error();
+  EXPECT_FALSE(Off->Static.Ran);
+  expectSameOverflows(*Off, directBessel(/*Prune=*/false));
+
+  Spec.Search.Prune.clear();
+  Expected<Report> Default = Analyzer::analyze(Spec);
+  ASSERT_TRUE(Default.hasValue()) << Default.error();
+  EXPECT_TRUE(Default->Static.Ran);
+  expectSameOverflows(*Default, directBessel(/*Prune=*/true));
 }
 
 TEST(EquivalenceTest, NfpLimitsRounds) {
@@ -561,13 +642,37 @@ TEST(ReportTest, JsonSerializesAndParses) {
 //===----------------------------------------------------------------------===//
 
 TEST(SpecTest, PruneFieldDefaultsAndValidation) {
-  // Unset prune means no pre-pass and stays unset in JSON.
-  Expected<AnalysisSpec> Unset = AnalysisSpec::parse(
-      R"({"task": "boundary", "module": {"builtin": "fig2"}})");
-  ASSERT_TRUE(Unset.hasValue()) << Unset.error();
-  EXPECT_TRUE(Unset->Search.Prune.empty());
-  EXPECT_EQ(Unset->Search.pruneMode(), PruneMode::Off);
-  EXPECT_EQ(Unset->toJsonText().find("\"prune\""), std::string::npos);
+  // Unset prune resolves per task, Sites for the two Algorithm 3 tasks
+  // and Off for the rest, and stays unset in JSON (so spec hashes and
+  // warm keys do not move).
+  const std::pair<const char *, PruneMode> Defaults[] = {
+      {R"({"task": "boundary", "module": {"builtin": "fig2"}})",
+       PruneMode::Off},
+      {R"({"task": "path", "module": {"builtin": "fig1a"},
+           "path": [{"branch": 0}]})",
+       PruneMode::Off},
+      {R"({"task": "coverage", "module": {"builtin": "fig1a"}})",
+       PruneMode::Off},
+      {R"j({"task": "fpsat", "constraint": "(< x 1.0)"})j", PruneMode::Off},
+      {R"({"task": "overflow", "module": {"builtin": "bessel"}})",
+       PruneMode::Sites},
+      {R"({"task": "inconsistency", "module": {"builtin": "airy"}})",
+       PruneMode::Sites},
+  };
+  for (const auto &[Text, Mode] : Defaults) {
+    Expected<AnalysisSpec> Unset = AnalysisSpec::parse(Text);
+    ASSERT_TRUE(Unset.hasValue()) << Unset.error();
+    EXPECT_TRUE(Unset->Search.Prune.empty()) << Text;
+    EXPECT_EQ(effectivePruneMode(*Unset), Mode) << Text;
+    EXPECT_EQ(Unset->toJsonText().find("\"prune\""), std::string::npos)
+        << Text;
+  }
+  // An explicit value wins over the task default.
+  Expected<AnalysisSpec> Off = AnalysisSpec::parse(
+      R"({"task": "overflow", "module": {"builtin": "bessel"},
+          "search": {"prune": "off"}})");
+  ASSERT_TRUE(Off.hasValue()) << Off.error();
+  EXPECT_EQ(effectivePruneMode(*Off), PruneMode::Off);
 
   // All three spellings parse and resolve.
   const std::pair<const char *, PruneMode> Modes[] = {
@@ -582,7 +687,7 @@ TEST(SpecTest, PruneFieldDefaultsAndValidation) {
         Name + R"("}})");
     ASSERT_TRUE(Ok.hasValue()) << Name << ": " << Ok.error();
     EXPECT_EQ(Ok->Search.Prune, Name);
-    EXPECT_EQ(Ok->Search.pruneMode(), Mode);
+    EXPECT_EQ(effectivePruneMode(*Ok), Mode);
   }
 
   // Unknown values are strict validation errors listing the names.
@@ -735,6 +840,29 @@ TEST(EquivalenceTest, PruneModesPreserveFindings) {
         EXPECT_NE(F.SiteId, It.SiteId) << Builtin << ": proved-safe site "
                                        << It.SiteId << " fired";
   }
+}
+
+TEST(EquivalenceTest, CoverageFig1aSitesMatchesOff) {
+  // Fig. 1a's assertion fails at x = 0.9999999999999999, where x + 1
+  // rounds to 2.0. A pre-pass that rounded x + 1 in one direction only
+  // "proved" that edge unreachable and lost the witness.
+  std::vector<std::vector<double>> Inputs[2];
+  const char *const Modes[2] = {"sites", "off"};
+  for (int K = 0; K < 2; ++K) {
+    Expected<AnalysisSpec> Spec = AnalysisSpec::parse(
+        std::string(R"({"task": "coverage", "module": {"builtin": "fig1a"},
+                        "search": {"seed": 1, "prune": ")") +
+        Modes[K] + R"("}})");
+    ASSERT_TRUE(Spec.hasValue()) << Spec.error();
+    Expected<Report> R = Analyzer::analyze(*Spec);
+    ASSERT_TRUE(R.hasValue()) << R.error();
+    for (const Finding &F : R->Findings)
+      Inputs[K].push_back(F.Input);
+  }
+  EXPECT_EQ(Inputs[0], Inputs[1]);
+  std::vector<double> Witness{0.9999999999999999};
+  EXPECT_NE(std::find(Inputs[0].begin(), Inputs[0].end(), Witness),
+            Inputs[0].end());
 }
 
 } // namespace

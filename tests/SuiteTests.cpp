@@ -259,9 +259,9 @@ TEST(SuiteSpecTest, PruneFlowsThroughDefaultsAndJobs) {
   Expected<std::vector<SuiteJob>> Jobs = Suite->expand();
   ASSERT_TRUE(Jobs.hasValue()) << Jobs.error();
   ASSERT_EQ(Jobs->size(), 3u);
-  EXPECT_EQ((*Jobs)[0].Spec.Search.pruneMode(), api::PruneMode::Sites);
-  EXPECT_EQ((*Jobs)[1].Spec.Search.pruneMode(), api::PruneMode::SitesBox);
-  EXPECT_EQ((*Jobs)[2].Spec.Search.pruneMode(), api::PruneMode::Off);
+  EXPECT_EQ(api::effectivePruneMode((*Jobs)[0].Spec), api::PruneMode::Sites);
+  EXPECT_EQ(api::effectivePruneMode((*Jobs)[1].Spec), api::PruneMode::SitesBox);
+  EXPECT_EQ(api::effectivePruneMode((*Jobs)[2].Spec), api::PruneMode::Off);
 
   Expected<SuiteSpec> Bad = SuiteSpec::parse(R"({
     "defaults": {"search": {"prune": "everything"}},

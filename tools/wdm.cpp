@@ -99,8 +99,11 @@ int usage() {
          "| jit\n"
          "                             (default: tiered, vm then jit "
          "once hot)\n"
-         "  --prune=<m>                static pre-pass: off (default) | "
-         "sites | sites+box\n"
+         "  --prune=<m>                static pre-pass: off | sites | "
+         "sites+box\n"
+         "                             (default: sites for overflow and "
+         "inconsistency,\n"
+         "                             off otherwise; off = paper-exact)\n"
          "  --path=<leg,leg,...>       path legs, e.g. 0:taken,1:not\n"
          "  --boundary-form=<f>        product|min|minulp\n"
          "  --overflow-metric=<m>      ulpgap|absgap\n"
@@ -970,8 +973,8 @@ bool parsePathLegs(const std::string &Text,
     if (Parts.empty() || Parts.size() > 2 || Parts[0].empty())
       return false;
     char *End = nullptr;
-    unsigned long Branch = std::strtoul(Parts[0].c_str(), &End, 10);
-    if (!End || *End)
+    unsigned long long Branch = std::strtoull(Parts[0].c_str(), &End, 10);
+    if (!End || *End || Branch > UINT32_MAX)
       return false;
     bool Taken = true;
     if (Parts.size() == 2) {
@@ -1077,6 +1080,9 @@ int cmdAnalyze(int Argc, char **Argv) {
     } else if (Key == "--nfp") {
       if (!Uint(Val, N))
         return fail("bad --nfp");
+      if (Status S = checkSearchCount("nfp", static_cast<double>(N));
+          !S.ok())
+        return fail(S.message());
       Spec.NFP = static_cast<unsigned>(N);
     } else if (A == "--json") {
       if (I + 1 >= Argc || startsWith(Argv[I + 1], "--"))
