@@ -12,15 +12,17 @@ using namespace wdm;
 using namespace wdm::analyses;
 using namespace wdm::exec;
 
+/// S_B: the inputs taking a direction outside the run's covered set B.
 class BranchCoverage::NewCoverageOracle : public core::AnalysisProblem {
 public:
-  explicit NewCoverageOracle(BranchCoverage &Parent) : Parent(Parent) {}
+  NewCoverageOracle(BranchCoverage &Parent, std::map<int, bool> &Covered)
+      : Parent(Parent), Covered(Covered) {}
 
   unsigned dim() const override { return Parent.Orig.numArgs(); }
 
   bool contains(const std::vector<double> &X) override {
     for (int Dir : Parent.directionsTaken(X))
-      if (!Parent.CoveredDirs[Dir])
+      if (!Covered[Dir])
         return true;
     return false;
   }
@@ -31,6 +33,7 @@ public:
 
 private:
   BranchCoverage &Parent;
+  std::map<int, bool> &Covered;
 };
 
 BranchCoverage::BranchCoverage(ir::Module &M, ir::Function &F,
@@ -44,9 +47,6 @@ BranchCoverage::BranchCoverage(ir::Module &M, ir::Function &F,
       *Eng, Instr.Wrapped, Instr.W, Instr.WInit, *WeakCtx);
   Factory = vm::makeWeakDistanceFactory(Engine, *Eng, Instr.Wrapped,
                                         Instr.W, Instr.WInit, *WeakCtx);
-  Oracle = std::make_unique<NewCoverageOracle>(*this);
-  for (const instr::Site &S : Instr.Sites)
-    CoveredDirs[S.Id] = false;
 }
 
 BranchCoverage::~BranchCoverage() = default;
@@ -77,6 +77,14 @@ CoverageReport BranchCoverage::run(opt::Optimizer &Backend,
   Report.Total = static_cast<unsigned>(Instr.Sites.size());
   Factory.beginRun();
 
+  // B starts empty: every direction uncovered, every site enabled.
+  std::map<int, bool> &CoveredDirs = Report.DirectionCovered;
+  for (const instr::Site &S : Instr.Sites) {
+    CoveredDirs[S.Id] = false;
+    WeakCtx->setSiteEnabled(S.Id, true);
+  }
+  NewCoverageOracle Oracle(*this, CoveredDirs);
+
   // Directions proved unreachable never gate the loop and never get
   // search budget; they stay uncovered in the report (truthfully so).
   std::unordered_set<int> Excluded;
@@ -99,7 +107,7 @@ CoverageReport BranchCoverage::run(opt::Optimizer &Backend,
     // The factory snapshots the current covered set B, so worker
     // evaluators minted this round all chase the same uncovered
     // directions.
-    core::SearchEngine Engine(*Factory.Factory, Oracle.get());
+    core::SearchEngine Engine(*Factory.Factory, &Oracle);
     core::SearchResult R = Engine.solve(Backend, Reduce);
     Report.Evals += R.Evals;
     Reduce.Seed = Reduce.Seed * 6364136223846793005ull + 1ull;
@@ -120,7 +128,6 @@ CoverageReport BranchCoverage::run(opt::Optimizer &Backend,
     }
   }
 
-  Report.DirectionCovered = CoveredDirs;
   for (auto &[Dir, Covered] : CoveredDirs)
     Report.Covered += Covered;
   return Report;

@@ -9,7 +9,10 @@
 /// in [Fu & Su PLDI'17]): repeatedly solve ⟨Prog; S_B⟩ where S_B is the
 /// set of inputs taking a branch direction outside the covered set B.
 /// Each witness is replayed to mark every direction it takes as covered
-/// (disabling those sites), until no progress remains.
+/// (disabling those sites), until no progress remains. B is per run:
+/// run() starts from an empty covered set with every site enabled, so
+/// one object can run again (a warm entry does) with a fresh object's
+/// result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,8 +82,6 @@ private:
   std::unique_ptr<exec::ExecContext> ProbeCtx;
   std::unique_ptr<instr::IRWeakDistance> Weak;
   vm::FactoryBundle Factory;
-  std::unique_ptr<NewCoverageOracle> Oracle;
-  std::map<int, bool> CoveredDirs;
 };
 
 } // namespace wdm::analyses

@@ -8,8 +8,7 @@
 
 #include "api/Backends.h"
 #include "api/Subjects.h"
-#include "api/TaskRegistry.h"
-#include "api/Warm.h"
+#include "api/tasks/Tasks.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "jit/JITWeakDistance.h"
@@ -37,11 +36,95 @@ Expected<std::string> readFile(const std::string &Path) {
   return Buf.str();
 }
 
+/// Resolves \p Spec's module, subject function and result slots into
+/// \p E and marks it ready. Module-free specs (fpsat) resolve to nothing.
+Status resolve(const AnalysisSpec &Spec, WarmEntry &E) {
+  // A cached entry whose earlier resolve failed part-way starts clean.
+  E.F = nullptr;
+  E.Slots = {};
+  if (Spec.Module.K != ModuleSource::Kind::None) {
+    obs::ScopedSpan ResolveSpan("module_resolve");
+    obs::count("analyzer.module_resolutions");
+    E.M = std::make_unique<ir::Module>("spec");
+    if (Spec.Module.K == ModuleSource::Kind::Builtin) {
+      Expected<BuiltinSubject> Sub = buildBuiltinSubject(*E.M, Spec.Module.Text);
+      if (!Sub)
+        return Status::error(Sub.error());
+      E.F = Sub->F;
+      E.Slots = Sub->Result;
+    } else {
+      std::string Text = Spec.Module.Text;
+      if (Spec.Module.K == ModuleSource::Kind::File) {
+        Expected<std::string> Read = readFile(Text);
+        if (!Read)
+          return Status::error(Read.error());
+        Text = Read.take();
+      }
+      Expected<std::unique_ptr<ir::Module>> Parsed = ir::parseModule(Text);
+      if (!Parsed)
+        return Status::error("module parse error: " + Parsed.error());
+      E.M = Parsed.take();
+      // The parser accepts shapes the rest of the pipeline assumes away
+      // (defs dominating uses, terminator discipline); reject them here
+      // as a spec error instead of tripping assertions downstream.
+      Status VS = ir::verifyModule(*E.M);
+      if (!VS.ok())
+        return Status::error("module verification failed: " + VS.message());
+    }
+
+    if (!Spec.Function.empty()) {
+      E.F = E.M->functionByName(Spec.Function);
+      if (!E.F)
+        return Status::error("no function named '" + Spec.Function +
+                             "' in the module");
+    }
+    if (!E.F && Spec.Task != TaskKind::FpSat) {
+      // No explicit name and no builtin default: a single-function
+      // module is unambiguous.
+      if (E.M->numFunctions() != 1)
+        return Status::error(
+            "spec: 'function' is required for a module with " +
+            std::to_string(E.M->numFunctions()) + " functions");
+      E.F = E.M->function(0);
+    }
+
+    // Explicit result-slot names override (and enable inconsistency
+    // checking on parsed modules).
+    if (!Spec.ValGlobal.empty() || !Spec.ErrGlobal.empty()) {
+      E.Slots.Val = E.M->globalByName(Spec.ValGlobal);
+      E.Slots.Err = E.M->globalByName(Spec.ErrGlobal);
+      if (!E.Slots.Val || !E.Slots.Err)
+        return Status::error("spec: val_global/err_global do not name "
+                             "globals of the module");
+    }
+  }
+  E.Ready = true;
+  return Status::success();
+}
+
+Expected<Report> runTask(TaskContext &Ctx) {
+  switch (Ctx.Spec.Task) {
+  case TaskKind::Boundary:
+    return runBoundary(Ctx);
+  case TaskKind::Path:
+    return runPath(Ctx);
+  case TaskKind::Coverage:
+    return runCoverage(Ctx);
+  case TaskKind::Overflow:
+    return runOverflow(Ctx);
+  case TaskKind::Inconsistency:
+    return runInconsistency(Ctx);
+  case TaskKind::FpSat:
+    return runFpSat(Ctx);
+  }
+  // Only a programmatic spec casting an out-of-range value lands here.
+  return Expected<Report>::error("spec: unknown task kind");
+}
+
 } // namespace
 
 Expected<Report> Analyzer::run() {
   using E = Expected<Report>;
-  registerBuiltinTasks();
   auto Clock0 = std::chrono::steady_clock::now();
   obs::ScopedSpan AnalyzeSpan("analyze");
   // Per-run metrics isolation without resetting the process registry:
@@ -51,8 +134,6 @@ Expected<Report> Analyzer::run() {
   json::Value MetricsBefore;
   if (obs::enabled())
     MetricsBefore = obs::snapshotJson();
-
-  TaskContext Ctx(Spec);
 
   // Programmatically built specs bypass the JSON parser's validation;
   // the strict-engine contract must hold on this path too.
@@ -78,99 +159,19 @@ Expected<Report> Analyzer::run() {
                       Spec.Search.Prune + "'");
   }
 
-  // Service mode: look the spec's warm entry up and hold its lock for
-  // the whole run (same-key runs serialize; different specs still run
-  // in parallel). A ready entry short-circuits the resolve below.
-  WasWarm = false;
-  Entry.reset();
-  ResolvedModule = nullptr;
-  std::unique_lock<std::mutex> WarmLock;
-  if (Warm) {
-    std::string Key = WarmCache::keyFor(Spec);
-    if (!Key.empty()) {
-      Entry = Warm->acquire(Key);
-      WarmLock = std::unique_lock<std::mutex>(Entry->Mu);
-    }
-  }
-  if (Entry && Entry->Ready) {
-    WasWarm = true;
+  // Every run resolves into an entry: with a cache attached, the spec's
+  // warm entry (its lock held for the whole run, so same-key runs
+  // serialize while different specs still run in parallel); otherwise a
+  // fresh local one. A ready entry skips the resolve.
+  std::string Key = Warm ? WarmCache::keyFor(Spec) : std::string();
+  Entry = Key.empty() ? std::make_shared<WarmEntry>() : Warm->acquire(Key);
+  std::lock_guard<std::mutex> EntryLock(Entry->Mu);
+  WasWarm = Entry->Ready;
+  if (WasWarm)
     obs::count("analyzer.warm_hits");
-    Ctx.M = ResolvedModule = Entry->M.get();
-    Ctx.F = Entry->F;
-    Ctx.Slots = Entry->Slots;
-    Ctx.Warm = Entry.get();
-  } else
-  // Resolve the module and subject function.
-  if (Spec.Module.K != ModuleSource::Kind::None) {
-    obs::ScopedSpan ResolveSpan("module_resolve");
-    obs::count("analyzer.module_resolutions");
-    OwnedModule = std::make_unique<ir::Module>("spec");
-    if (Spec.Module.K == ModuleSource::Kind::Builtin) {
-      Expected<BuiltinSubject> Sub =
-          buildBuiltinSubject(*OwnedModule, Spec.Module.Text);
-      if (!Sub)
-        return E::error(Sub.error());
-      Ctx.F = Sub->F;
-      Ctx.Slots = Sub->Result;
-    } else {
-      std::string Text = Spec.Module.Text;
-      if (Spec.Module.K == ModuleSource::Kind::File) {
-        Expected<std::string> Read = readFile(Text);
-        if (!Read)
-          return E::error(Read.error());
-        Text = Read.take();
-      }
-      Expected<std::unique_ptr<ir::Module>> Parsed = ir::parseModule(Text);
-      if (!Parsed)
-        return E::error("module parse error: " + Parsed.error());
-      OwnedModule = Parsed.take();
-      // The parser accepts shapes the rest of the pipeline assumes away
-      // (defs dominating uses, terminator discipline); reject them here
-      // as a spec error instead of tripping assertions downstream.
-      Status VS = ir::verifyModule(*OwnedModule);
-      if (!VS.ok())
-        return E::error("module verification failed: " + VS.message());
-    }
-    Ctx.M = OwnedModule.get();
-
-    if (!Spec.Function.empty()) {
-      Ctx.F = Ctx.M->functionByName(Spec.Function);
-      if (!Ctx.F)
-        return E::error("no function named '" + Spec.Function +
-                        "' in the module");
-    }
-    if (!Ctx.F && Spec.Task != TaskKind::FpSat) {
-      // No explicit name and no builtin default: a single-function
-      // module is unambiguous.
-      if (Ctx.M->numFunctions() == 1)
-        Ctx.F = Ctx.M->function(0);
-      else
-        return E::error("spec: 'function' is required for a module with " +
-                        std::to_string(Ctx.M->numFunctions()) +
-                        " functions");
-    }
-
-    // Explicit result-slot names override (and enable inconsistency
-    // checking on parsed modules).
-    if (!Spec.ValGlobal.empty() || !Spec.ErrGlobal.empty()) {
-      Ctx.Slots.Val = Ctx.M->globalByName(Spec.ValGlobal);
-      Ctx.Slots.Err = Ctx.M->globalByName(Spec.ErrGlobal);
-      if (!Ctx.Slots.Val || !Ctx.Slots.Err)
-        return E::error("spec: val_global/err_global do not name globals "
-                        "of the module");
-    }
-  }
-
-  // First run under a warm entry: park the resolved module (ownership
-  // moves to the entry, which the Analyzer retains via shared_ptr).
-  if (Entry && !Entry->Ready) {
-    Entry->M = std::move(OwnedModule);
-    Ctx.M = ResolvedModule = Entry->M.get();
-    Entry->F = Ctx.F;
-    Entry->Slots = Ctx.Slots;
-    Entry->Ready = true;
-    Ctx.Warm = Entry.get();
-  }
+  else if (Status S = resolve(Spec, *Entry); !S.ok())
+    return E::error(S.message());
+  TaskContext Ctx(Spec, *Entry);
 
   // Construct the backend portfolio.
   std::vector<std::string> Names = Spec.Search.Backends;
@@ -183,22 +184,16 @@ Expected<Report> Analyzer::run() {
     Ctx.Backends.push_back(B.take());
   }
 
-  TaskFn Fn = findTask(Spec.Task);
-  if (!Fn)
-    return E::error(std::string("no adapter registered for task '") +
-                    taskKindName(Spec.Task) + "'");
-
   Expected<Report> Rep = [&] {
     obs::ScopedSpan TaskSpan("task");
     TaskSpan.setArgs(json::Value::object().set(
         "task", json::Value::string(taskKindName(Spec.Task))));
-    return Fn(Ctx);
+    return runTask(Ctx);
   }();
   if (!Rep)
     return Rep;
 
-  if (Entry)
-    ++Entry->Runs;
+  ++Entry->Runs;
   Rep->Task = Spec.Task;
   if (Rep->Function.empty())
     Rep->Function = Ctx.F ? Ctx.F->name() : Spec.Constraint;

@@ -17,6 +17,17 @@
 ///   Expected<api::Report> R = api::Analyzer::analyze(Spec);
 /// \endcode
 ///
+/// Every run takes one path: validate the spec, resolve it into a
+/// WarmEntry (a WarmCache's entry when one is attached and the spec is
+/// warmable, a fresh local one otherwise), and switch on the task kind
+/// to its adapter, which prepares once per entry and searches every
+/// run (see Warm.h).
+///
+/// Error contract: every error run() returns is a spec error — a bad
+/// field, an unknown builtin or backend, an unreadable or unparseable
+/// module, a path leg out of range. `wdm run` exits 2 on it and `wdm
+/// serve` answers 400. A new error added here must be one too.
+///
 /// The fine-grained classes (BoundaryAnalysis, OverflowDetector, ...)
 /// remain public for callers that need recorders or incremental control;
 /// the Analyzer is the uniform, serializable surface over them.
@@ -28,14 +39,11 @@
 
 #include "api/AnalysisSpec.h"
 #include "api/Report.h"
-#include "ir/Module.h"
+#include "api/Warm.h"
 
 #include <memory>
 
 namespace wdm::api {
-
-class WarmCache;
-struct WarmEntry;
 
 class Analyzer {
 public:
@@ -44,9 +52,9 @@ public:
   const AnalysisSpec &spec() const { return Spec; }
 
   /// Attaches a warm-state cache (service mode): when the spec is
-  /// warmable, run() reuses the cached resolved module and analysis
-  /// state instead of resolving/instrumenting/lowering from scratch.
-  /// The cache must outlive the Analyzer. Null detaches.
+  /// warmable, run() reuses the cached resolved module and prepared
+  /// analysis state instead of resolving/instrumenting/lowering from
+  /// scratch. The cache must outlive the Analyzer. Null detaches.
   Analyzer &setWarmCache(WarmCache *WC) {
     Warm = WC;
     return *this;
@@ -57,7 +65,8 @@ public:
 
   /// Resolves the module and function, constructs the backends, and
   /// dispatches to the task adapter. Wall-clock Seconds covers the whole
-  /// run including parsing and instrumentation.
+  /// run including parsing and instrumentation. Errors are spec errors
+  /// (see the file comment).
   Expected<Report> run();
 
   /// One-shot convenience.
@@ -66,18 +75,14 @@ public:
   }
 
   /// The module the last run() resolved (parsed, read, or built);
-  /// null before run() and for module-free tasks. Owned by the Analyzer
-  /// (or, on a warm run, by the retained warm entry).
-  ir::Module *module() const {
-    return OwnedModule ? OwnedModule.get() : ResolvedModule;
-  }
+  /// null before run() and for module-free tasks. Owned by the last
+  /// run's entry, which the Analyzer retains.
+  ir::Module *module() const { return Entry ? Entry->M.get() : nullptr; }
 
 private:
   AnalysisSpec Spec;
-  std::unique_ptr<ir::Module> OwnedModule;
   WarmCache *Warm = nullptr;
-  std::shared_ptr<WarmEntry> Entry; ///< Keeps a warm module alive.
-  ir::Module *ResolvedModule = nullptr;
+  std::shared_ptr<WarmEntry> Entry; ///< The last run's entry.
   bool WasWarm = false;
 };
 

@@ -58,7 +58,10 @@ struct StaticSection {
   unsigned SitesTotal = 0;
   unsigned SitesPruned = 0; ///< Dropped from the objective (both kinds).
   unsigned SitesProvedSafe = 0;
-  double Seconds = 0; ///< Pre-pass cost (stripped by deterministic form).
+  /// This run's pre-pass cost (stripped by deterministic form): the
+  /// prepare step's when this run did it, plus this run's box shrink. A
+  /// warm run that reused an entry's prepared state counts only its shrink.
+  double Seconds = 0;
   bool BoxShrunk = false;
   double BoxLo = 0; ///< Shrunken start box (valid when BoxShrunk).
   double BoxHi = 0;

@@ -16,9 +16,6 @@ using namespace wdm;
 using namespace wdm::api;
 
 std::string WarmCache::keyFor(const AnalysisSpec &Spec) {
-  // Only re-runnable analyses opt in (see the file comment).
-  if (Spec.Task != TaskKind::Boundary && Spec.Task != TaskKind::Path)
-    return "";
   if (Spec.Module.K == ModuleSource::Kind::None)
     return "";
 

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The resident-state half of service mode: a WarmCache keeps resolved
-/// and verified modules — together with their instrumented clones,
-/// lowered bytecode, JIT code, and static pre-pass results, all bundled
-/// inside the per-task analysis object — alive across Analyzer runs, so
-/// a warm request skips resolve -> verify -> instrument -> lower ->
-/// compile entirely and goes straight to the search.
+/// The resident-state half of service mode. Every Analyzer run resolves
+/// into a WarmEntry: the resolved and verified module plus the task's
+/// prepared state (instrumented clones, lowered bytecode, JIT code and
+/// static pre-pass results, bundled inside the per-task analysis object).
+/// A run without a cache takes a fresh, local entry and drops it at the
+/// end; a run with a WarmCache attached takes the cache's entry for its
+/// spec, so a warm request skips resolve -> verify -> instrument -> lower
+/// -> compile -> pre-pass entirely and goes straight to the search.
 ///
 /// Keys are content-addressed like everything else in the repo: the
 /// canonical spec text with the *volatile* search knobs stripped (seed,
@@ -22,11 +24,11 @@
 /// on the file *content* hash, so editing the file on disk naturally
 /// misses the stale entry.
 ///
-/// Only tasks whose analysis objects are re-runnable opt in (Boundary,
-/// Path: `findOne` mints fresh thread-local evaluators per run and
-/// mutates nothing persistent). The stateful detectors (coverage,
-/// overflow, inconsistency) bypass the cache — re-instrumenting a
-/// cached module would stack duplicate `__*` clones.
+/// All five IR tasks warm: their prepared analysis objects are
+/// re-runnable (each run re-enables every site and keeps its per-run
+/// state — Algorithm 3's L, the covered set, findings — local), so a
+/// warm run is bit-identical to a cold one. Only module-free fpsat has
+/// nothing to keep.
 ///
 /// Entries serialize concurrent same-key runs behind a per-entry mutex
 /// (searches on *different* specs still run in parallel); the cache is
@@ -52,18 +54,19 @@ namespace wdm::api {
 
 struct AnalysisSpec;
 
-/// One warm slot: the resolved module plus whatever task-specific state
-/// the adapter parked (an analysis object owning instrumentation,
+/// One run's resolved state: the module plus whatever the adapter's
+/// prepare step parked (an analysis object owning instrumentation,
 /// bytecode, JIT code, and the pre-pass plan). The holder locks Mu for
 /// the whole task run.
 struct WarmEntry {
   std::mutex Mu;
   bool Ready = false; ///< Module resolved and verified.
-  std::unique_ptr<ir::Module> M;
+  std::unique_ptr<ir::Module> M; ///< Null for module-free tasks.
   ir::Function *F = nullptr;
   gsl::SfResultSlots Slots;
-  /// Task-specific warm state (set by the adapter on first run; cast
-  /// back by the same adapter — the warm key pins the task kind).
+  /// The task's prepared state (set by the adapter's prepare step on the
+  /// first run; cast back by the same adapter — the warm key pins the
+  /// task kind).
   std::shared_ptr<void> State;
   uint64_t Runs = 0; ///< Completed task runs through this entry.
 };
@@ -74,8 +77,7 @@ public:
   explicit WarmCache(size_t Capacity = 64) : Capacity(Capacity ? Capacity : 1) {}
 
   /// The warm key for \p Spec, or "" when the spec is not warmable
-  /// (module-free task, a task kind that does not opt in, or an
-  /// unreadable module file).
+  /// (module-free fpsat, or an unreadable module file).
   static std::string keyFor(const AnalysisSpec &Spec);
 
   /// The entry for \p Key, minting (and LRU-evicting) as needed. The

@@ -5,10 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyses/BoundaryAnalysis.h"
-#include "api/TaskRegistry.h"
-#include "api/Warm.h"
 #include "api/tasks/Common.h"
-#include "api/tasks/Prune.h"
 
 using namespace wdm;
 using namespace wdm::api;
@@ -16,50 +13,44 @@ using wdm::json::Value;
 
 namespace {
 
-/// What a warm entry parks between runs: the instrumented analysis
-/// (clones, bytecode, JIT code) and the pre-pass plan it was built
-/// against. findOne is re-runnable — each run mints fresh thread-local
-/// evaluators — so reuse changes nothing but the setup cost.
-struct WarmBoundary {
+/// The prepared state: the instrumented analysis (clones, bytecode, JIT
+/// code) and the pre-pass plan it was built against. findOne is
+/// re-runnable — each run mints fresh thread-local evaluators.
+struct PreparedBoundary {
   tasks::PrunePlan Plan;
   std::unique_ptr<analyses::BoundaryAnalysis> BVA;
 };
 
-Expected<Report> runBoundary(TaskContext &Ctx) {
-  instr::BoundaryForm Form = instr::BoundaryForm::Product;
-  if (Ctx.Spec.BoundaryForm == "min")
-    Form = instr::BoundaryForm::Min;
-  else if (Ctx.Spec.BoundaryForm == "minulp")
-    Form = instr::BoundaryForm::MinUlp;
+} // namespace
 
-  std::shared_ptr<WarmBoundary> W;
-  if (Ctx.Warm && Ctx.Warm->State) {
-    W = std::static_pointer_cast<WarmBoundary>(Ctx.Warm->State);
-    // Seconds and the per-run box shrink restart; the classification
-    // itself is already computed.
-    W->Plan.Clock0 = std::chrono::steady_clock::now();
-    W->Plan.Seconds = 0;
-    W->Plan.BoxShrunk = false;
-    W->Plan.BoxLo = W->Plan.BoxHi = 0;
-  } else {
-    W = std::make_shared<WarmBoundary>();
-    W->Plan = tasks::planPrune(Ctx);
-    W->BVA = std::make_unique<analyses::BoundaryAnalysis>(
-        *Ctx.M, *Ctx.F, Form, Ctx.engineKind(), tasks::skipPredicate(W->Plan));
-    tasks::classifySites(W->Plan, W->BVA->sites());
-    if (Ctx.Warm)
-      Ctx.Warm->State = W;
-  }
-  tasks::PrunePlan &Plan = W->Plan;
-  analyses::BoundaryAnalysis &BVA = *W->BVA;
+Expected<Report> wdm::api::runBoundary(TaskContext &Ctx) {
+  Expected<PreparedBoundary *> P =
+      tasks::prepared<PreparedBoundary>(Ctx, [&](PreparedBoundary &S) {
+        instr::BoundaryForm Form = instr::BoundaryForm::Product;
+        if (Ctx.Spec.BoundaryForm == "min")
+          Form = instr::BoundaryForm::Min;
+        else if (Ctx.Spec.BoundaryForm == "minulp")
+          Form = instr::BoundaryForm::MinUlp;
+        S.Plan = tasks::planPrune(Ctx);
+        S.BVA = std::make_unique<analyses::BoundaryAnalysis>(
+            *Ctx.M, *Ctx.F, Form, Ctx.engineKind(),
+            tasks::skipPredicate(S.Plan));
+        tasks::classifySites(S.Plan, S.BVA->sites());
+        return Status::success();
+      });
+  if (!P)
+    return Expected<Report>::error(P.error());
+  tasks::PrunePlan &Plan = (*P)->Plan;
+  analyses::BoundaryAnalysis &BVA = *(*P)->BVA;
 
   core::SearchOptions Opts = Ctx.searchOptions({});
-  tasks::shrinkBox(Plan, *Ctx.F, Opts, BVA.sites());
+  tasks::BoxShrink Box =
+      tasks::shrinkBox(Plan, *Ctx.F, Opts.StartLo, Opts.StartHi, BVA.sites());
   core::SearchResult R = BVA.findOne(Ctx.primaryBackend(), Opts);
 
   Report Rep;
   Rep.Success = R.Found;
-  tasks::fillStatic(Rep, Plan);
+  tasks::fillStatic(Ctx, Rep, Plan, Box);
   tasks::fillAggregates(Rep, R);
   tasks::fillEngine(Rep, BVA.executionTier());
   if (R.Found) {
@@ -80,10 +71,4 @@ Expected<Report> runBoundary(TaskContext &Ctx) {
     Rep.Findings.push_back(std::move(F));
   }
   return Rep;
-}
-
-} // namespace
-
-void wdm::api::registerBoundaryTask() {
-  registerTask(TaskKind::Boundary, runBoundary);
 }

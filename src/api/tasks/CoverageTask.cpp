@@ -5,11 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyses/BranchCoverage.h"
-#include "api/TaskRegistry.h"
 #include "api/tasks/Common.h"
-#include "api/tasks/Prune.h"
-
-#include <thread>
 
 using namespace wdm;
 using namespace wdm::api;
@@ -17,21 +13,41 @@ using wdm::json::Value;
 
 namespace {
 
-Expected<Report> runCoverage(TaskContext &Ctx) {
-  analyses::BranchCoverage Cov(*Ctx.M, *Ctx.F, Ctx.engineKind());
+/// The prepared state: the instrumented coverage driver (re-runnable —
+/// each run starts from an empty covered set) and the pre-pass plan.
+struct PreparedCoverage {
+  tasks::PrunePlan Plan;
+  std::unique_ptr<analyses::BranchCoverage> Cov;
+};
+
+} // namespace
+
+Expected<Report> wdm::api::runCoverage(TaskContext &Ctx) {
+  Expected<PreparedCoverage *> P =
+      tasks::prepared<PreparedCoverage>(Ctx, [&](PreparedCoverage &S) {
+        S.Cov = std::make_unique<analyses::BranchCoverage>(*Ctx.M, *Ctx.F,
+                                                           Ctx.engineKind());
+        S.Plan = tasks::planPrune(Ctx);
+        tasks::classifySites(S.Plan, S.Cov->sites());
+        return Status::success();
+      });
+  if (!P)
+    return Expected<Report>::error(P.error());
+  tasks::PrunePlan &Plan = (*P)->Plan;
+  analyses::BranchCoverage &Cov = *(*P)->Cov;
+
   analyses::BranchCoverage::Options Opts;
   Opts.Reduce = Ctx.searchOptions(Opts.Reduce);
   if (Ctx.Spec.MaxStall)
     Opts.MaxStall = *Ctx.Spec.MaxStall;
-  tasks::PrunePlan Plan = tasks::planPrune(Ctx);
-  tasks::classifySites(Plan, Cov.sites());
   Opts.ExcludedDirs = tasks::droppedSorted(Plan);
-  tasks::shrinkBox(Plan, *Ctx.F, Opts.Reduce, Cov.sites());
+  tasks::BoxShrink Box = tasks::shrinkBox(
+      Plan, *Ctx.F, Opts.Reduce.StartLo, Opts.Reduce.StartHi, Cov.sites());
 
   analyses::CoverageReport R = Cov.run(Ctx.primaryBackend(), Opts);
 
   Report Rep;
-  tasks::fillStatic(Rep, Plan);
+  tasks::fillStatic(Ctx, Rep, Plan, Box);
   Rep.Success = R.Total == R.Covered;
   Rep.Evals = R.Evals;
   tasks::fillEngine(Rep, Cov.executionTier());
@@ -54,10 +70,4 @@ Expected<Report> runCoverage(TaskContext &Ctx) {
                   .set("total", Value::number(R.Total))
                   .set("ratio", Value::number(R.ratio()));
   return Rep;
-}
-
-} // namespace
-
-void wdm::api::registerCoverageTask() {
-  registerTask(TaskKind::Coverage, runCoverage);
 }

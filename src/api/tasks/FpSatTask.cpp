@@ -4,8 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "api/TaskRegistry.h"
-#include "api/tasks/Common.h"
+#include "api/tasks/Tasks.h"
 #include "sat/SExprParser.h"
 #include "sat/Solver.h"
 
@@ -13,9 +12,7 @@ using namespace wdm;
 using namespace wdm::api;
 using wdm::json::Value;
 
-namespace {
-
-Expected<Report> runFpSat(TaskContext &Ctx) {
+Expected<Report> wdm::api::runFpSat(TaskContext &Ctx) {
   using E = Expected<Report>;
   Expected<sat::CNF> C = sat::parseConstraint(Ctx.Spec.Constraint);
   if (!C)
@@ -47,10 +44,4 @@ Expected<Report> runFpSat(TaskContext &Ctx) {
     Rep.Findings.push_back(std::move(F));
   }
   return Rep;
-}
-
-} // namespace
-
-void wdm::api::registerFpSatTask() {
-  registerTask(TaskKind::FpSat, runFpSat);
 }

@@ -14,19 +14,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyses/Inconsistency.h"
-#include "api/TaskRegistry.h"
 #include "api/tasks/Common.h"
-#include "api/tasks/Prune.h"
-
-#include <thread>
 
 using namespace wdm;
 using namespace wdm::api;
 using wdm::json::Value;
 
-namespace {
-
-Expected<Report> runInconsistency(TaskContext &Ctx) {
+Expected<Report> wdm::api::runInconsistency(TaskContext &Ctx) {
   using E = Expected<Report>;
   if (!Ctx.Slots.Val || !Ctx.Slots.Err)
     return E::error("inconsistency task needs the subject's val/err "
@@ -35,21 +29,12 @@ Expected<Report> runInconsistency(TaskContext &Ctx) {
 
   // Paper-faithful Table 3/5 configuration by default: Algorithm 3's
   // MAX - |a| metric (the ULP-gap improvement is an explicit opt-in).
-  analyses::OverflowDetector Detector =
-      tasks::makeOverflowDetector(Ctx, instr::OverflowMetric::AbsGap);
-  analyses::OverflowDetector::Options Opts = tasks::overflowOptions(Ctx);
-  tasks::PrunePlan Plan = tasks::planPrune(Ctx);
-  tasks::classifySites(Plan, Detector.sites());
-  Opts.PrunedSites = tasks::droppedSorted(Plan);
-  {
-    core::SearchOptions Box;
-    Box.StartLo = Opts.StartLo;
-    Box.StartHi = Opts.StartHi;
-    tasks::shrinkBox(Plan, *Ctx.F, Box, Detector.sites());
-    Opts.StartLo = Box.StartLo;
-    Opts.StartHi = Box.StartHi;
-  }
-  analyses::OverflowReport R = Detector.run(Opts);
+  Expected<tasks::PreparedOverflow *> P =
+      tasks::prepareOverflow(Ctx, instr::OverflowMetric::AbsGap);
+  if (!P)
+    return E::error(P.error());
+  Report Rep;
+  analyses::OverflowReport R = tasks::searchOverflow(Ctx, **P, Rep);
 
   gsl::SfFunction Fn;
   Fn.F = Ctx.F;
@@ -75,16 +60,7 @@ Expected<Report> runInconsistency(TaskContext &Ctx) {
       Distinct.push_back(&F);
   }
 
-  Report Rep;
-  tasks::fillStatic(Rep, Plan);
   Rep.Success = !Distinct.empty();
-  Rep.Evals = R.Evals;
-  tasks::fillEngine(Rep, Detector.executionTier());
-  Rep.ThreadsUsed = Opts.Threads
-                        ? Opts.Threads
-                        : std::max(1u, std::thread::hardware_concurrency());
-  tasks::appendOverflowFindings(Rep, R);
-
   unsigned Bugs = 0;
   for (const analyses::InconsistencyFinding *D : Distinct) {
     Finding Item;
@@ -111,10 +87,4 @@ Expected<Report> runInconsistency(TaskContext &Ctx) {
                   .set("evals_to_first_finding",
                        Value::number(R.EvalsToFirstFinding));
   return Rep;
-}
-
-} // namespace
-
-void wdm::api::registerInconsistencyTask() {
-  registerTask(TaskKind::Inconsistency, runInconsistency);
 }

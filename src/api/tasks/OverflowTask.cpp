@@ -4,54 +4,25 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "api/TaskRegistry.h"
 #include "api/tasks/Common.h"
-#include "api/tasks/Prune.h"
-
-#include <thread>
 
 using namespace wdm;
 using namespace wdm::api;
 using wdm::json::Value;
 
-namespace {
-
-Expected<Report> runOverflow(TaskContext &Ctx) {
-  analyses::OverflowDetector Detector =
-      tasks::makeOverflowDetector(Ctx, instr::OverflowMetric::UlpGap);
-  analyses::OverflowDetector::Options Opts = tasks::overflowOptions(Ctx);
-  tasks::PrunePlan Plan = tasks::planPrune(Ctx);
-  tasks::classifySites(Plan, Detector.sites());
-  Opts.PrunedSites = tasks::droppedSorted(Plan);
-  {
-    core::SearchOptions Box;
-    Box.StartLo = Opts.StartLo;
-    Box.StartHi = Opts.StartHi;
-    tasks::shrinkBox(Plan, *Ctx.F, Box, Detector.sites());
-    Opts.StartLo = Box.StartLo;
-    Opts.StartHi = Box.StartHi;
-  }
-  analyses::OverflowReport R = Detector.run(Opts);
+Expected<Report> wdm::api::runOverflow(TaskContext &Ctx) {
+  Expected<tasks::PreparedOverflow *> P =
+      tasks::prepareOverflow(Ctx, instr::OverflowMetric::UlpGap);
+  if (!P)
+    return Expected<Report>::error(P.error());
 
   Report Rep;
-  tasks::fillStatic(Rep, Plan);
+  analyses::OverflowReport R = tasks::searchOverflow(Ctx, **P, Rep);
   Rep.Success = R.numOverflows() > 0;
-  Rep.Evals = R.Evals;
-  tasks::fillEngine(Rep, Detector.executionTier());
-  Rep.ThreadsUsed = Opts.Threads
-                        ? Opts.Threads
-                        : std::max(1u, std::thread::hardware_concurrency());
-  tasks::appendOverflowFindings(Rep, R);
   Rep.Extra = Value::object()
                   .set("num_ops", Value::number(R.NumOps))
                   .set("num_overflows", Value::number(R.numOverflows()))
                   .set("evals_to_first_finding",
                        Value::number(R.EvalsToFirstFinding));
   return Rep;
-}
-
-} // namespace
-
-void wdm::api::registerOverflowTask() {
-  registerTask(TaskKind::Overflow, runOverflow);
 }

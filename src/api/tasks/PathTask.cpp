@@ -5,10 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyses/PathReachability.h"
-#include "api/TaskRegistry.h"
-#include "api/Warm.h"
 #include "api/tasks/Common.h"
-#include "api/tasks/Prune.h"
 #include "ir/Instruction.h"
 
 using namespace wdm;
@@ -17,104 +14,63 @@ using wdm::json::Value;
 
 namespace {
 
-/// Warm-entry state: the instrumented reachability analysis (which owns
-/// lowered bytecode/JIT code), the resolved path spec (instruction
-/// pointers into the cached module), and the pre-pass plan.
-struct WarmPath {
+/// The prepared state: the validated path (instruction pointers into the
+/// entry's module), the pre-pass plan, the legs it proved infeasible,
+/// and — when none is — the instrumented reachability analysis (which
+/// owns lowered bytecode/JIT code).
+struct PreparedPath {
   tasks::PrunePlan Plan;
   instr::PathSpec PS;
+  std::vector<size_t> DeadLegs;
   std::unique_ptr<analyses::PathReachability> PR;
 };
 
-Expected<Report> runPath(TaskContext &Ctx) {
-  using E = Expected<Report>;
-
-  // Warm rerun: the legs were validated, the pre-pass ran, and the
-  // statically-infeasible early-out did not fire on the first run (a
-  // dead path parks no state) — jump straight to the search.
-  if (Ctx.Warm && Ctx.Warm->State) {
-    std::shared_ptr<WarmPath> W =
-        std::static_pointer_cast<WarmPath>(Ctx.Warm->State);
-    W->Plan.Clock0 = std::chrono::steady_clock::now();
-    W->Plan.Seconds = 0;
-    W->Plan.BoxShrunk = false;
-    W->Plan.BoxLo = W->Plan.BoxHi = 0;
-
-    core::SearchOptions Opts = Ctx.searchOptions({});
-    if (W->Plan.Mode == PruneMode::SitesBox && W->Plan.ran()) {
-      absint::BoxShrinkResult B = absint::shrinkStartBox(
-          *Ctx.F, Opts.StartLo, Opts.StartHi, {},
-          [&](const absint::FunctionAnalysis &FA) {
-            if (!FA.complete())
-              return true;
-            for (const instr::PathLeg &Leg : W->PS.Legs)
-              if (!FA.edgeFeasible(Leg.Branch, Leg.DesiredTaken))
-                return false;
-            return true;
-          });
-      if (B.Changed) {
-        Opts.StartLo = B.Lo;
-        Opts.StartHi = B.Hi;
-        W->Plan.BoxShrunk = true;
-        W->Plan.BoxLo = B.Lo;
-        W->Plan.BoxHi = B.Hi;
-      }
-    }
-    core::SearchResult R = W->PR->findOne(Ctx.primaryBackend(), Opts);
-
-    Report Rep;
-    Rep.Success = R.Found;
-    tasks::fillStatic(Rep, W->Plan);
-    tasks::fillAggregates(Rep, R);
-    tasks::fillEngine(Rep, W->PR->executionTier());
-    if (R.Found) {
-      Finding F;
-      F.Kind = "path";
-      F.Input = R.Witness;
-      Value Legs = Value::array();
-      for (const PathLegSpec &Leg : Ctx.Spec.Path)
-        Legs.push(Value::object()
-                      .set("branch", Value::number(Leg.Branch))
-                      .set("taken", Value::boolean(Leg.Taken)));
-      F.Details = Value::object().set("legs", Legs);
-      Rep.Findings.push_back(std::move(F));
-    }
-    return Rep;
-  }
-
+Status preparePath(const TaskContext &Ctx, PreparedPath &P) {
   // Spec legs name branches by condbr index in layout order.
   std::vector<const ir::Instruction *> Branches;
   Ctx.F->forEachInst([&](const ir::Instruction *I) {
     if (I->opcode() == ir::Opcode::CondBr)
       Branches.push_back(I);
   });
-
-  instr::PathSpec PS;
   for (const PathLegSpec &Leg : Ctx.Spec.Path) {
     if (Leg.Branch >= Branches.size())
-      return E::error("spec: path leg names branch #" +
-                      std::to_string(Leg.Branch) + " but '" +
-                      Ctx.F->name() + "' has " +
-                      std::to_string(Branches.size()) +
-                      " conditional branches");
-    PS.Legs.push_back({Branches[Leg.Branch], Leg.Taken});
+      return Status::error("spec: path leg names branch #" +
+                           std::to_string(Leg.Branch) + " but '" +
+                           Ctx.F->name() + "' has " +
+                           std::to_string(Branches.size()) +
+                           " conditional branches");
+    P.PS.Legs.push_back({Branches[Leg.Branch], Leg.Taken});
   }
 
   // Static pre-pass: a required direction proved infeasible means no
-  // input follows the path — skip the search outright.
-  tasks::PrunePlan Plan = tasks::planPrune(Ctx);
-  std::vector<size_t> DeadLegs;
-  if (Plan.ran() && Plan.FA->complete()) {
-    Plan.SitesTotal = static_cast<unsigned>(PS.Legs.size());
-    for (size_t K = 0; K < PS.Legs.size(); ++K)
-      if (!Plan.FA->edgeFeasible(PS.Legs[K].Branch, PS.Legs[K].DesiredTaken))
-        DeadLegs.push_back(K);
+  // input follows the path — the search is skipped outright.
+  P.Plan = tasks::planPrune(Ctx);
+  if (P.Plan.ran() && P.Plan.FA->complete()) {
+    P.Plan.SitesTotal = static_cast<unsigned>(P.PS.Legs.size());
+    for (size_t K = 0; K < P.PS.Legs.size(); ++K)
+      if (!P.Plan.FA->edgeFeasible(P.PS.Legs[K].Branch,
+                                   P.PS.Legs[K].DesiredTaken))
+        P.DeadLegs.push_back(K);
   }
-  if (!DeadLegs.empty()) {
-    Report Rep;
-    Rep.Success = false;
-    tasks::fillStatic(Rep, Plan);
-    for (size_t K : DeadLegs) {
+  if (P.DeadLegs.empty())
+    P.PR = std::make_unique<analyses::PathReachability>(*Ctx.M, *Ctx.F, P.PS,
+                                                        Ctx.engineKind());
+  return Status::success();
+}
+
+} // namespace
+
+Expected<Report> wdm::api::runPath(TaskContext &Ctx) {
+  Expected<PreparedPath *> Prep = tasks::prepared<PreparedPath>(
+      Ctx, [&](PreparedPath &P) { return preparePath(Ctx, P); });
+  if (!Prep)
+    return Expected<Report>::error(Prep.error());
+  PreparedPath &P = **Prep;
+
+  Report Rep;
+  if (!P.DeadLegs.empty()) {
+    tasks::fillStatic(Ctx, Rep, P.Plan, {});
+    for (size_t K : P.DeadLegs) {
       StaticItem It;
       It.Kind = "unreachable";
       It.SiteId = static_cast<int>(Ctx.Spec.Path[K].Branch);
@@ -129,38 +85,23 @@ Expected<Report> runPath(TaskContext &Ctx) {
     return Rep;
   }
 
-  auto W = std::make_shared<WarmPath>();
-  W->PS = PS;
-  W->PR = std::make_unique<analyses::PathReachability>(*Ctx.M, *Ctx.F, PS,
-                                                       Ctx.engineKind());
-  analyses::PathReachability &PR = *W->PR;
   core::SearchOptions Opts = Ctx.searchOptions({});
-  if (Plan.Mode == PruneMode::SitesBox && Plan.ran()) {
-    absint::BoxShrinkResult B = absint::shrinkStartBox(
-        *Ctx.F, Opts.StartLo, Opts.StartHi, {},
-        [&](const absint::FunctionAnalysis &FA) {
-          if (!FA.complete())
-            return true;
-          for (const instr::PathLeg &Leg : PS.Legs)
-            if (!FA.edgeFeasible(Leg.Branch, Leg.DesiredTaken))
-              return false;
-          return true;
-        });
-    if (B.Changed) {
-      Opts.StartLo = B.Lo;
-      Opts.StartHi = B.Hi;
-      Plan.BoxShrunk = true;
-      Plan.BoxLo = B.Lo;
-      Plan.BoxHi = B.Hi;
-    }
-  }
-  core::SearchResult R = PR.findOne(Ctx.primaryBackend(), Opts);
+  tasks::BoxShrink Box =
+      tasks::shrinkBox(P.Plan, *Ctx.F, Opts.StartLo, Opts.StartHi,
+                       [&](const absint::FunctionAnalysis &FA) {
+                         if (!FA.complete())
+                           return true;
+                         for (const instr::PathLeg &Leg : P.PS.Legs)
+                           if (!FA.edgeFeasible(Leg.Branch, Leg.DesiredTaken))
+                             return false;
+                         return true;
+                       });
+  core::SearchResult R = P.PR->findOne(Ctx.primaryBackend(), Opts);
 
-  Report Rep;
   Rep.Success = R.Found;
-  tasks::fillStatic(Rep, Plan);
+  tasks::fillStatic(Ctx, Rep, P.Plan, Box);
   tasks::fillAggregates(Rep, R);
-  tasks::fillEngine(Rep, PR.executionTier());
+  tasks::fillEngine(Rep, P.PR->executionTier());
   if (R.Found) {
     Finding F;
     F.Kind = "path";
@@ -173,13 +114,5 @@ Expected<Report> runPath(TaskContext &Ctx) {
     F.Details = Value::object().set("legs", Legs);
     Rep.Findings.push_back(std::move(F));
   }
-  if (Ctx.Warm) {
-    W->Plan = std::move(Plan);
-    Ctx.Warm->State = std::move(W);
-  }
   return Rep;
 }
-
-} // namespace
-
-void wdm::api::registerPathTask() { registerTask(TaskKind::Path, runPath); }

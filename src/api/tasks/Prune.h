@@ -7,8 +7,9 @@
 /// \file
 /// The shared "search.prune" flow of the IR-backed task adapters: run the
 /// absint pre-pass over the original subject, classify the instrumented
-/// sites, drop proved ones from the search objective, and (in sites+box
-/// mode) shrink the start box. The intervals are rounded outward, so a
+/// sites and drop proved ones from the search objective (the prepare
+/// step, once per warm entry), and in sites+box mode shrink the start box
+/// (the search step, every run). The intervals are rounded outward, so a
 /// dropped site provably cannot fire under any rounding mode and no
 /// finding is lost; what changes is where the eval budget goes (and, with
 /// it, the RNG stream the remaining rounds draw). Everything that ran
@@ -21,7 +22,7 @@
 
 #include "absint/AbsInt.h"
 #include "api/Report.h"
-#include "api/TaskRegistry.h"
+#include "api/tasks/Tasks.h"
 #include "core/SearchEngine.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
@@ -33,8 +34,8 @@
 
 namespace wdm::api::tasks {
 
-/// One adapter's pre-pass state: the analysis of the original subject
-/// plus everything classified/shrunk so far.
+/// One adapter's prepared pre-pass state: the analysis of the original
+/// subject plus the site classification.
 struct PrunePlan {
   PruneMode Mode = PruneMode::Off;
   /// The pre-pass analysis of the original subject (set when Mode != Off
@@ -45,21 +46,28 @@ struct PrunePlan {
   std::unordered_set<int> Dropped; ///< Site ids out of the objective.
   unsigned SitesTotal = 0;
   unsigned ProvedSafe = 0;
-  bool BoxShrunk = false;
-  double BoxLo = 0;
-  double BoxHi = 0;
   std::chrono::steady_clock::time_point Clock0;
-  double Seconds = 0; ///< Pre-pass cost so far (stamped per step).
+  double Seconds = 0; ///< Prepare cost so far (stamped per step).
 
   bool ran() const { return FA != nullptr; }
 
-  /// Restamps the pre-pass cost; call when a pre-pass step finishes so
-  /// Seconds never includes the search that follows.
+  /// Restamps the prepare cost; call when a pre-pass step finishes so
+  /// Seconds never includes the work that follows.
   void stamp() {
     Seconds = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - Clock0)
                   .count();
   }
+};
+
+/// What a run's search step adds to the plan: the start-box shrink.
+/// Start boxes are volatile knobs (WarmCache::keyFor strips them), so it
+/// reruns on every run, warm or cold.
+struct BoxShrink {
+  bool Shrunk = false;
+  double Lo = 0;
+  double Hi = 0;
+  double Seconds = 0;
 };
 
 /// The absint.* counters, interned once: the pre-pass runs on every
@@ -133,41 +141,56 @@ inline std::vector<int> droppedSorted(const PrunePlan &P) {
   return Out;
 }
 
-/// In sites+box mode, shrinks [Opts.StartLo, Opts.StartHi] to the
-/// per-dimension slices from which some still-active site is feasible.
-/// A heuristic for start placement only — wild starts roam the full
-/// domain regardless, so findings are unaffected.
-inline void shrinkBox(PrunePlan &P, const ir::Function &F,
-                      core::SearchOptions &Opts,
-                      const instr::SiteTable &Sites) {
+/// In sites+box mode, shrinks [\p Lo, \p Hi] to the per-dimension
+/// slices from which \p MaybeFeasible holds. A heuristic for start
+/// placement only — wild starts roam the full domain regardless, so
+/// findings are unaffected.
+inline BoxShrink
+shrinkBox(const PrunePlan &P, const ir::Function &F, double &Lo, double &Hi,
+          const std::function<bool(const absint::FunctionAnalysis &)>
+              &MaybeFeasible) {
+  BoxShrink B;
   if (P.Mode != PruneMode::SitesBox || !P.ran())
-    return;
+    return B;
   obs::ScopedSpan Span("box_shrink");
+  auto Clock0 = std::chrono::steady_clock::now();
+  absint::BoxShrinkResult R =
+      absint::shrinkStartBox(F, Lo, Hi, {}, MaybeFeasible);
+  if (R.Changed) {
+    Lo = B.Lo = R.Lo;
+    Hi = B.Hi = R.Hi;
+    B.Shrunk = true;
+  }
+  B.Seconds = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - Clock0)
+                  .count();
+  return B;
+}
+
+/// The site flavour: keeps the slices from which some still-active
+/// (not dropped) site of \p Sites may trigger.
+inline BoxShrink shrinkBox(const PrunePlan &P, const ir::Function &F,
+                           double &Lo, double &Hi,
+                           const instr::SiteTable &Sites) {
+  if (P.Mode != PruneMode::SitesBox || !P.ran())
+    return {};
   std::unordered_set<int> Active;
   for (const instr::Site &S : Sites)
     if (!P.Dropped.count(S.Id))
       Active.insert(S.Id);
   if (Active.empty())
-    return;
-  absint::BoxShrinkResult R = absint::shrinkStartBox(
-      F, Opts.StartLo, Opts.StartHi, {},
-      [&](const absint::FunctionAnalysis &FA) {
-        return absint::anySiteMaybeTriggers(FA, Sites, Active);
-      });
-  if (R.Changed) {
-    Opts.StartLo = R.Lo;
-    Opts.StartHi = R.Hi;
-    P.BoxShrunk = true;
-    P.BoxLo = R.Lo;
-    P.BoxHi = R.Hi;
-  }
-  P.stamp();
+    return {};
+  return shrinkBox(P, F, Lo, Hi, [&](const absint::FunctionAnalysis &FA) {
+    return absint::anySiteMaybeTriggers(FA, Sites, Active);
+  });
 }
 
-/// Records the finished plan as the report's "static" section (a no-op
-/// when the pre-pass did not run, keeping prune-off reports byte-
-/// identical to a pre-pass-free build's).
-inline void fillStatic(Report &Rep, const PrunePlan &P) {
+/// Records the plan and this run's box shrink as the report's "static"
+/// section (a no-op when the pre-pass did not run, keeping prune-off
+/// reports byte-identical to a pre-pass-free build's). Its seconds are
+/// this run's shrink, plus the prepare cost when this run prepared.
+inline void fillStatic(const TaskContext &Ctx, Report &Rep,
+                       const PrunePlan &P, const BoxShrink &Box) {
   if (!P.ran())
     return;
   if (obs::enabled()) {
@@ -175,7 +198,7 @@ inline void fillStatic(Report &Rep, const PrunePlan &P) {
     C.SitesTotal.add(P.SitesTotal);
     C.SitesPruned.add(P.Dropped.size());
     C.SitesProvedSafe.add(P.ProvedSafe);
-    if (P.BoxShrunk)
+    if (Box.Shrunk)
       C.BoxesShrunk.add();
   }
   Rep.Static.Ran = true;
@@ -183,10 +206,10 @@ inline void fillStatic(Report &Rep, const PrunePlan &P) {
   Rep.Static.SitesTotal = P.SitesTotal;
   Rep.Static.SitesPruned = static_cast<unsigned>(P.Dropped.size());
   Rep.Static.SitesProvedSafe = P.ProvedSafe;
-  Rep.Static.Seconds = P.Seconds;
-  Rep.Static.BoxShrunk = P.BoxShrunk;
-  Rep.Static.BoxLo = P.BoxLo;
-  Rep.Static.BoxHi = P.BoxHi;
+  Rep.Static.Seconds = (Ctx.Prepared ? P.Seconds : 0) + Box.Seconds;
+  Rep.Static.BoxShrunk = Box.Shrunk;
+  Rep.Static.BoxLo = Box.Lo;
+  Rep.Static.BoxHi = Box.Hi;
   for (const absint::SiteReport &R : P.Sites) {
     if (R.Verdict == absint::SiteVerdict::Unknown)
       continue;

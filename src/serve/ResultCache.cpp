@@ -7,6 +7,7 @@
 #include "serve/ResultCache.h"
 
 #include "api/AnalysisSpec.h"
+#include "support/BuildInfo.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
@@ -70,6 +71,30 @@ void ResultCache::insertMemory(const std::string &Hash, Stored Entry) {
 // Disk level
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// This binary's build stamp as stored in disk entries: the build info
+/// plus the running executable's size and modification time. The build
+/// info alone is fixed at configure time, so it cannot tell a rebuild
+/// without a reconfigure, or two uncommitted trees on one commit, apart;
+/// a relinked executable can. (A stat, not a content hash, so it costs
+/// nothing at start-up.)
+const json::Value &buildStamp() {
+  static const json::Value Stamp = [] {
+    json::Value S = support::buildInfoJson();
+    struct stat Exe;
+    if (::stat("/proc/self/exe", &Exe) == 0)
+      S.set("binary",
+            json::Value::string(std::to_string(Exe.st_size) + "@" +
+                                std::to_string(Exe.st_mtim.tv_sec) + "." +
+                                std::to_string(Exe.st_mtim.tv_nsec)));
+    return S;
+  }();
+  return Stamp;
+}
+
+} // namespace
+
 std::string ResultCache::diskPath(const std::string &Hash) const {
   return Opt.Dir + "/" + Hash.substr(0, 2) + "/" + Hash + ".json";
 }
@@ -84,22 +109,19 @@ bool ResultCache::readDisk(const std::string &Hash, Stored &Out) const {
   Ss << In.rdbuf();
   std::string Text = Ss.str();
   // Corruption tolerance: a torn or garbled entry is a miss, not a
-  // crash — it must parse as a JSON object to count.
+  // crash — it must parse as a JSON object to count. So is an entry
+  // another build wrote (or one with no stamp): its Report may differ.
   Expected<json::Value> Doc = json::Value::parse(Text);
   if (!Doc || !Doc->isObject())
     return false;
-  // Entries written with a precomputed deterministic-view hash are
-  // wrapped ({"report_hash", "report_text"}) so the raw report text
-  // restores byte-identically; bare objects are the report itself.
+  const json::Value *B = Doc->find("build");
   const json::Value *H = Doc->find("report_hash");
   const json::Value *T = Doc->find("report_text");
-  if (H && T && H->isString() && T->isString()) {
-    Out.Json = T->asString();
-    Out.DetHash = H->asString();
-    return true;
-  }
-  Out.Json = std::move(Text);
-  Out.DetHash.clear();
+  if (!B || B->dump() != buildStamp().dump() || !H || !H->isString() || !T ||
+      !T->isString())
+    return false;
+  Out.Json = T->asString();
+  Out.DetHash = H->asString();
   return true;
 }
 
@@ -114,13 +136,14 @@ void ResultCache::writeDisk(const std::string &Hash,
   // place, so readers never observe a torn entry.
   std::string Tmp =
       Shard + "/." + Hash + ".tmp." + std::to_string((long)::getpid());
+  // The raw report text is wrapped as a string, so it restores
+  // byte-identically.
   std::string Payload =
-      Entry.DetHash.empty()
-          ? Entry.Json
-          : json::Value::object()
-                .set("report_hash", json::Value::string(Entry.DetHash))
-                .set("report_text", json::Value::string(Entry.Json))
-                .dump();
+      json::Value::object()
+          .set("build", buildStamp())
+          .set("report_hash", json::Value::string(Entry.DetHash))
+          .set("report_text", json::Value::string(Entry.Json))
+          .dump();
   {
     std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
     if (!Out)
@@ -215,32 +238,6 @@ void ResultCache::abandon(const std::string &Hash) {
     It->second->Cv.notify_all();
     Flights.erase(It);
   }
-}
-
-bool ResultCache::lookup(const std::string &Hash, std::string &Out) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Index.find(Hash);
-    if (It != Index.end()) {
-      Lru.splice(Lru.begin(), Lru, It->second);
-      ++St.Hits;
-      ++St.MemoryHits;
-      Out = It->second->second.Json;
-      return true;
-    }
-  }
-  Stored FromDisk;
-  if (readDisk(Hash, FromDisk)) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Out = FromDisk.Json;
-    insertMemory(Hash, std::move(FromDisk));
-    ++St.Hits;
-    ++St.DiskHits;
-    return true;
-  }
-  std::lock_guard<std::mutex> Lock(Mu);
-  ++St.Misses;
-  return false;
 }
 
 ResultCache::Stats ResultCache::stats() const {

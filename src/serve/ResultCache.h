@@ -12,7 +12,12 @@
 ///    traffic a resident daemon actually sees, and
 ///  - an on-disk store (`<dir>/<hh>/<hash>.json`, atomic tmp+rename
 ///    writes) that survives restarts, tolerant of corruption: an entry
-///    that fails to read or parse is a miss, never a crash.
+///    that fails to read or parse is a miss, never a crash. Every entry
+///    carries the build stamp of the binary that wrote it (its
+///    support::buildInfoJson plus the executable's size and mtime), and an
+///    entry from another build — or with no stamp — is a miss, so a
+///    daemon restarted on a rebuilt binary never serves Reports the old
+///    binary computed.
 ///
 /// Keys reuse exactly the suite layer's content addressing:
 /// `fnv1a64Hex` of the serialize-after-parse canonical spec text, with
@@ -75,8 +80,7 @@ public:
   struct Lease {
     bool Hit = false;
     std::string CachedJson; ///< The stored Report JSON text on a hit.
-    std::string CachedHash; ///< Precomputed deterministic-report hash
-                            ///< ("" if the entry predates it).
+    std::string CachedHash; ///< Its deterministic-report hash.
   };
 
   /// Looks \p Hash up (memory, then disk). On a miss, the first caller
@@ -87,20 +91,16 @@ public:
   Lease acquire(const std::string &Hash);
 
   /// Publishes \p ReportJson under \p Hash (memory + disk) and wakes
-  /// followers. \p DetHash, when provided, is the deterministic-view
-  /// report hash, stored alongside so hits can answer without
-  /// re-deriving it (the serve hot path splices the response from the
-  /// stored text and this hash, parsing nothing).
+  /// followers. \p DetHash is the deterministic-view report hash, stored
+  /// alongside so hits can answer without re-deriving it (the serve hot
+  /// path splices the response from the stored text and this hash,
+  /// parsing nothing).
   void fulfill(const std::string &Hash, const std::string &ReportJson,
-               const std::string &DetHash = "");
+               const std::string &DetHash);
 
   /// Releases the lease without publishing (the run failed); followers
   /// wake and the next acquire leads again.
   void abandon(const std::string &Hash);
-
-  /// Non-blocking plain lookup (no lease). Returns true and fills
-  /// \p Out on a hit.
-  bool lookup(const std::string &Hash, std::string &Out);
 
   Stats stats() const;
 
@@ -128,8 +128,7 @@ private:
   };
 
   /// What a memory entry holds: the report text plus its precomputed
-  /// deterministic-view hash (may be empty for entries stored without
-  /// one).
+  /// deterministic-view hash.
   struct Stored {
     std::string Json;
     std::string DetHash;

@@ -439,75 +439,68 @@ std::string Server::handleRun(const HttpRequest &Req, int &Status) {
   }
 
   ResultCache::Lease Lease = Cache.acquire(Hash);
-  const bool Cached = Lease.Hit;
-  std::string ReportText;
-  std::string ReportHash;
   if (Lease.Hit) {
     obs::count("serve.cache_hits");
-    if (!Lease.CachedHash.empty()) {
-      // Hot path: the entry carries its deterministic-view hash, so
-      // the envelope is spliced from stored bytes — no JSON parse, no
-      // deterministic-view rebuild. The splice must stay byte-identical
-      // to the Value::dump() envelope below (": " after keys, ", "
-      // separators); report text dumps are serialize-after-parse fixed
-      // points, so embedding the stored text verbatim matches re-dump.
-      std::string Rep = std::move(Lease.CachedJson);
-      while (!Rep.empty() &&
-             (Rep.back() == '\n' || Rep.back() == '\r' || Rep.back() == ' '))
-        Rep.pop_back();
-      Status = 200;
-      return "{\"cached\": true, \"spec_hash\": \"" + Hash +
-             "\", \"report_hash\": \"" + Lease.CachedHash +
-             "\", \"report\": " + Rep + "}";
-    }
-    ReportText = std::move(Lease.CachedJson);
-  } else {
-    obs::count("serve.cache_misses");
-    // A memo hit skipped canonicalization; the miss path needs the
-    // canonical text after all (and it cannot fail — the memo only
-    // remembers bodies that canonicalized once already).
-    if (CanonText.empty()) {
-      Expected<std::string> Canon = canonicalSpecText(Req.Body);
-      if (!Canon) {
-        Cache.abandon(Hash);
-        Status = 400;
-        return errorBody(Canon.error());
-      }
-      CanonText = Canon.take();
-    }
-    Expected<api::AnalysisSpec> Spec = api::AnalysisSpec::parse(CanonText);
-    if (!Spec) {
-      Cache.abandon(Hash);
-      Status = 400;
-      return errorBody(Spec.error());
-    }
-    api::Analyzer A(Spec.take());
-    if (Opt.Warm)
-      A.setWarmCache(&WarmC);
-    Expected<api::Report> R = A.run();
-    if (!R) {
-      Cache.abandon(Hash);
-      Status = 500;
-      return errorBody(R.error());
-    }
-    ReportText = R->toJsonText();
+    // Hot path: the entry carries its deterministic-view hash, so the
+    // envelope is spliced from stored bytes — no JSON parse, no
+    // deterministic-view rebuild. The splice must stay byte-identical to
+    // the Value::dump() envelope below (": " after keys, ", "
+    // separators); report text dumps are serialize-after-parse fixed
+    // points, so embedding the stored text verbatim matches re-dump.
+    std::string Rep = std::move(Lease.CachedJson);
+    while (!Rep.empty() &&
+           (Rep.back() == '\n' || Rep.back() == '\r' || Rep.back() == ' '))
+      Rep.pop_back();
+    Status = 200;
+    return "{\"cached\": true, \"spec_hash\": \"" + Hash +
+           "\", \"report_hash\": \"" + Lease.CachedHash +
+           "\", \"report\": " + Rep + "}";
   }
 
+  obs::count("serve.cache_misses");
+  // A memo hit skipped canonicalization; the miss path needs the
+  // canonical text after all (and it cannot fail — the memo only
+  // remembers bodies that canonicalized once already).
+  if (CanonText.empty()) {
+    Expected<std::string> Canon = canonicalSpecText(Req.Body);
+    if (!Canon) {
+      Cache.abandon(Hash);
+      Status = 400;
+      return errorBody(Canon.error());
+    }
+    CanonText = Canon.take();
+  }
+  Expected<api::AnalysisSpec> Spec = api::AnalysisSpec::parse(CanonText);
+  if (!Spec) {
+    Cache.abandon(Hash);
+    Status = 400;
+    return errorBody(Spec.error());
+  }
+  api::Analyzer A(Spec.take());
+  A.setWarmCache(&WarmC);
+  Expected<api::Report> R = A.run();
+  if (!R) {
+    // Every Analyzer error is a spec error (Analyzer.h): `wdm run`
+    // exits 2 on it, so the daemon answers 400.
+    Cache.abandon(Hash);
+    Status = 400;
+    return errorBody(R.error());
+  }
+  std::string ReportText = R->toJsonText();
   Expected<Value> RepDoc = Value::parse(ReportText);
   if (!RepDoc) {
-    if (!Cached)
-      Cache.abandon(Hash);
+    Cache.abandon(Hash);
     Status = 500;
-    return errorBody("stored report unparseable: " + RepDoc.error());
+    return errorBody("report unparseable: " + RepDoc.error());
   }
   // The report hash is over the deterministic view — byte-identical for
   // a cold run, a cache hit, a warm run, and `wdm run` on the same spec.
-  ReportHash = fnv1a64Hex(api::deterministicReportJson(*RepDoc).dump());
-  if (!Cached)
-    Cache.fulfill(Hash, ReportText, ReportHash);
+  std::string ReportHash =
+      fnv1a64Hex(api::deterministicReportJson(*RepDoc).dump());
+  Cache.fulfill(Hash, ReportText, ReportHash);
   Status = 200;
   return Value::object()
-      .set("cached", Value::boolean(Cached))
+      .set("cached", Value::boolean(false))
       .set("spec_hash", Value::string(Hash))
       .set("report_hash", Value::string(ReportHash))
       .set("report", std::move(*RepDoc))

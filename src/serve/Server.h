@@ -15,9 +15,10 @@
 ///    a repeat request from any client is a lookup, not a search, and
 ///    the on-disk level survives restarts;
 ///  - a warm execution cache (api::WarmCache): resolved/verified IR,
-///    instrumented clones, lowered bytecode, and JIT code stay resident
-///    keyed by construction-relevant spec content, so a warm request
-///    skips resolve -> verify -> instrument -> lower -> compile.
+///    instrumented clones, lowered bytecode, JIT code, and pre-pass
+///    results stay resident keyed by construction-relevant spec
+///    content, so a warm request of any IR task skips resolve -> verify
+///    -> instrument -> lower -> compile -> pre-pass.
 ///
 /// Endpoints:
 ///
@@ -71,7 +72,6 @@ struct ServerOptions {
   std::string CacheDir;     ///< Result-cache disk level ("" = memory only).
   size_t CacheCapacity = 256;   ///< Result-cache memory entries.
   size_t WarmCapacity = 64;     ///< Warm-entry LRU bound.
-  bool Warm = true;             ///< Keep execution state resident.
   std::string StateDir;     ///< Suite job logs; "" = CacheDir or ".wdm-serve".
   unsigned SuiteShards = 0; ///< Shards for async suites; 0 = hardware.
 };

@@ -128,6 +128,32 @@ TEST(BranchCoverageTest, ClassifierFullCoverage) {
   EXPECT_EQ(R.Covered, 8u) << "coverage ratio " << R.ratio();
 }
 
+TEST(BranchCoverageTest, RunTwiceEqualsAFreshObject) {
+  // A warm entry reruns one object: its second run() must start from an
+  // empty covered set, exactly like a fresh object.
+  auto Run = [](BranchCoverage &Cov) {
+    opt::BasinHopping Backend;
+    BranchCoverage::Options Opts;
+    Opts.Reduce.Seed = 1;
+    Opts.Reduce.MaxEvals = 30'000;
+    Opts.Reduce.Threads = 1;
+    return Cov.run(Backend, Opts);
+  };
+  ir::Module FreshM("fig1a");
+  BranchCoverage Fresh(FreshM, *buildFig1a(FreshM).F);
+  CoverageReport Want = Run(Fresh);
+  ASSERT_GT(Want.TestInputs.size(), 0u);
+
+  ir::Module M("fig1a");
+  BranchCoverage Cov(M, *buildFig1a(M).F);
+  Run(Cov);
+  CoverageReport Again = Run(Cov);
+  EXPECT_EQ(Again.TestInputs, Want.TestInputs);
+  EXPECT_EQ(Again.Covered, Want.Covered);
+  EXPECT_EQ(Again.Evals, Want.Evals);
+  EXPECT_EQ(Again.DirectionCovered, Want.DirectionCovered);
+}
+
 TEST(OverflowDetectorTest, BesselFindsMostOverflows) {
   ir::Module M("bessel");
   gsl::SfFunction Bessel = gsl::buildBesselKnuScaledAsympx(M);

@@ -10,7 +10,6 @@
 #include "api/Analyzer.h"
 #include "api/Backends.h"
 #include "api/Subjects.h"
-#include "api/TaskRegistry.h"
 #include "gsl/Bessel.h"
 #include "ir/Parser.h"
 #include "jit/JITWeakDistance.h"
@@ -405,14 +404,6 @@ TEST(SpecTest, AnalyzerRejectsBadSpecs) {
   Inc.Task = TaskKind::Inconsistency;
   Inc.Module = ModuleSource::inlineText(QuickstartIr);
   EXPECT_FALSE(Analyzer::analyze(Inc).hasValue());
-}
-
-TEST(RegistryTest, AllSixTasksRegistered) {
-  registerBuiltinTasks();
-  for (TaskKind K :
-       {TaskKind::Boundary, TaskKind::Path, TaskKind::Coverage,
-        TaskKind::Overflow, TaskKind::Inconsistency, TaskKind::FpSat})
-    EXPECT_TRUE(static_cast<bool>(findTask(K))) << taskKindName(K);
 }
 
 TEST(BackendsTest, EveryNameConstructs) {

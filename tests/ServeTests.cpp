@@ -244,7 +244,7 @@ TEST(ResultCacheTest, MissThenFulfillThenHit) {
   ResultCache C({"", 8});
   ResultCache::Lease L = C.acquire("aaaa");
   EXPECT_FALSE(L.Hit);
-  C.fulfill("aaaa", "{\"r\": 1}");
+  C.fulfill("aaaa", "{\"r\": 1}", "0000000000000001");
   ResultCache::Lease L2 = C.acquire("aaaa");
   ASSERT_TRUE(L2.Hit);
   EXPECT_EQ(L2.CachedJson, "{\"r\": 1}");
@@ -266,7 +266,7 @@ TEST(ResultCacheTest, MemoryLruEvictsOldest) {
   ResultCache C({"", 2});
   for (const char *H : {"h1", "h2", "h3"}) {
     EXPECT_FALSE(C.acquire(H).Hit);
-    C.fulfill(H, std::string("{\"v\": \"") + H + "\"}");
+    C.fulfill(H, std::string("{\"v\": \"") + H + "\"}", H);
   }
   EXPECT_EQ(C.memorySize(), 2u);
   EXPECT_GE(C.stats().Evictions, 1u);
@@ -280,7 +280,7 @@ TEST(ResultCacheTest, DiskLevelSurvivesRestart) {
   {
     ResultCache C({Dir, 8});
     EXPECT_FALSE(C.acquire("00deadbeef001122").Hit);
-    C.fulfill("00deadbeef001122", "{\"r\": 42}");
+    C.fulfill("00deadbeef001122", "{\"r\": 42}", "0000000000000042");
   }
   // A fresh instance (a restarted daemon) finds the entry on disk.
   ResultCache C2({Dir, 8});
@@ -308,7 +308,7 @@ TEST(ResultCacheTest, CorruptDiskEntryIsAMissNotACrash) {
   ResultCache C({Dir, 8});
   ResultCache::Lease L = C.acquire("ab00000000000000");
   EXPECT_FALSE(L.Hit); // Parse failure degrades to a miss.
-  C.fulfill("ab00000000000000", "{\"ok\": true}");
+  C.fulfill("ab00000000000000", "{\"ok\": true}", "0000000000000003");
   ResultCache C2({Dir, 8});
   ResultCache::Lease L2 = C2.acquire("ab00000000000000");
   ASSERT_TRUE(L2.Hit); // The rewrite healed the entry.
@@ -334,10 +334,46 @@ TEST(ResultCacheTest, DetHashRoundTripsThroughBothLevels) {
   ASSERT_TRUE(L2.Hit);
   EXPECT_EQ(L2.CachedJson, "{\"r\": 7}\n");
   EXPECT_EQ(L2.CachedHash, "feedface00000001");
-  // Entries fulfilled without a hash stay bare and report an empty one.
-  EXPECT_FALSE(C2.acquire("ce00000000000000").Hit);
-  C2.fulfill("ce00000000000000", "{\"r\": 8}");
-  EXPECT_EQ(C2.acquire("ce00000000000000").CachedHash, "");
+}
+
+TEST(ResultCacheTest, EntryFromAnotherBuildIsAMiss) {
+  std::string Dir = tempDir("stamp");
+  {
+    ResultCache C({Dir, 8});
+    EXPECT_FALSE(C.acquire("ef00000000000000").Hit);
+    C.fulfill("ef00000000000000", "{\"r\": 9}", "feedface00000009");
+  }
+  std::string Path = Dir + "/ef/ef00000000000000.json";
+  Expected<Value> Entry = Value::parse(readFileText(Path));
+  ASSERT_TRUE(Entry.hasValue()) << Entry.error();
+  const Value *Stamp = Entry->find("build");
+  ASSERT_NE(Stamp, nullptr); // Stamped on write,
+  ASSERT_NE(Stamp->find("binary"), nullptr); // with the executable's identity.
+
+  // The same entry stamped by a foreign build: a miss, not a stale hit.
+  Value Foreign = *Entry;
+  Foreign.set("build", Value::object().set("git", Value::string("other")));
+  writeFile(Path, Foreign.dump());
+  ResultCache C2({Dir, 8});
+  EXPECT_FALSE(C2.acquire("ef00000000000000").Hit);
+  C2.abandon("ef00000000000000");
+
+  // The same build info from another executable (a rebuild without a
+  // reconfigure): a miss too.
+  Value Rebuilt = *Entry;
+  Value RebuiltStamp = *Stamp;
+  RebuiltStamp.set("binary", Value::string("1@0.0"));
+  Rebuilt.set("build", RebuiltStamp);
+  writeFile(Path, Rebuilt.dump());
+  ResultCache C4({Dir, 8});
+  EXPECT_FALSE(C4.acquire("ef00000000000000").Hit);
+  C4.abandon("ef00000000000000");
+
+  // An unstamped entry (a bare report, as older builds wrote) too.
+  writeFile(Path, "{\"r\": 9}");
+  ResultCache C3({Dir, 8});
+  EXPECT_FALSE(C3.acquire("ef00000000000000").Hit);
+  C3.abandon("ef00000000000000");
 }
 
 TEST(ResultCacheTest, SingleFlightCoalescesConcurrentMisses) {
@@ -355,7 +391,7 @@ TEST(ResultCacheTest, SingleFlightCoalescesConcurrentMisses) {
       LeaderIn.store(true);
       // Hold the flight open long enough that the others pile up.
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      C.fulfill("flight", "{\"once\": 1}");
+      C.fulfill("flight", "{\"once\": 1}", "0000000000000004");
     }
   };
 
@@ -400,51 +436,128 @@ TEST(WarmCacheTest, KeyIgnoresVolatileSearchKnobsOnly) {
   C.Search.Engine = "interp";
   EXPECT_NE(api::WarmCache::keyFor(A), api::WarmCache::keyFor(C));
 
-  api::AnalysisSpec D = fig2Spec(1); // Stateful task: never warmed.
+  api::AnalysisSpec D = fig2Spec(1); // Every IR task warms...
   D.Task = api::TaskKind::Overflow;
   D.Module = api::ModuleSource::builtin("bessel");
-  EXPECT_TRUE(api::WarmCache::keyFor(D).empty());
+  EXPECT_FALSE(api::WarmCache::keyFor(D).empty());
+  EXPECT_NE(api::WarmCache::keyFor(A), api::WarmCache::keyFor(D));
+
+  api::AnalysisSpec E; // ...and module-free fpsat has nothing to keep.
+  E.Task = api::TaskKind::FpSat;
+  E.Constraint = "(< x 1.0)";
+  EXPECT_TRUE(api::WarmCache::keyFor(E).empty());
 }
 
-TEST(WarmCacheTest, WarmRerunIsBitIdenticalAndSkipsLowering) {
+/// One IR task at one prune mode, on a small subject and budget.
+struct WarmCase {
+  api::TaskKind Task;
+  const char *Prune;
+};
+
+api::AnalysisSpec warmCaseSpec(const WarmCase &C, uint64_t Seed) {
+  api::AnalysisSpec Spec;
+  Spec.Task = C.Task;
+  Spec.Search.Seed = Seed;
+  Spec.Search.Threads = 1;
+  Spec.Search.Prune = C.Prune;
+  switch (C.Task) {
+  case api::TaskKind::Boundary:
+    Spec.Module = api::ModuleSource::builtin("fig2");
+    Spec.Search.MaxEvals = 20000;
+    break;
+  case api::TaskKind::Path:
+    Spec.Module = api::ModuleSource::builtin("fig1a");
+    Spec.Path = {{0, true}, {1, false}};
+    Spec.Search.MaxEvals = 80000;
+    break;
+  case api::TaskKind::Coverage:
+    Spec.Module = api::ModuleSource::builtin("classifier");
+    Spec.Search.MaxEvals = 30000;
+    break;
+  case api::TaskKind::Overflow:
+    Spec.Module = api::ModuleSource::builtin("bessel");
+    Spec.Search.MaxEvals = 6000;
+    Spec.Search.Starts = 2;
+    break;
+  case api::TaskKind::Inconsistency:
+    Spec.Module = api::ModuleSource::builtin("airy");
+    Spec.Probes = {{-1.9146102807898733}, {-1.14e57}};
+    Spec.Search.MaxEvals = 4000;
+    Spec.Search.Starts = 2;
+    break;
+  case api::TaskKind::FpSat:
+    ADD_FAILURE() << "fpsat has no warm state";
+    break;
+  }
+  return Spec;
+}
+
+class WarmRerunTest : public ::testing::TestWithParam<WarmCase> {};
+
+TEST_P(WarmRerunTest, IsBitIdenticalAndSkipsLowering) {
   ObsQuiesce Quiesce;
   obs::setEnabled(true);
-
   api::WarmCache Warm(8);
-  api::AnalysisSpec Spec = fig2Spec(2019);
+  auto Det = [](const api::Report &R) {
+    return api::deterministicReportJson(R.toJson()).dump();
+  };
 
-  api::Analyzer Cold(Spec);
-  Cold.setWarmCache(&Warm);
-  Expected<api::Report> R1 = Cold.run();
+  api::Analyzer First(warmCaseSpec(GetParam(), 1));
+  First.setWarmCache(&Warm);
+  Expected<api::Report> R1 = First.run();
   ASSERT_TRUE(R1.hasValue()) << R1.error();
-  EXPECT_FALSE(Cold.lastRunWarm());
+  EXPECT_FALSE(First.lastRunWarm());
+  if (R1->Static.Ran)
+    EXPECT_GT(R1->Static.Seconds, 0.0); // It did the prepare step.
   Value AfterCold = obs::snapshotJson();
   EXPECT_GE(counterIn(AfterCold, "vm.module_lowerings"), 1u);
 
-  api::Analyzer WarmRun(Spec);
-  WarmRun.setWarmCache(&Warm);
-  Expected<api::Report> R2 = WarmRun.run();
-  ASSERT_TRUE(R2.hasValue()) << R2.error();
-  EXPECT_TRUE(WarmRun.lastRunWarm());
-  Value AfterWarm = obs::snapshotJson();
+  // Warm with another seed, then warm again with the first one: each
+  // must equal a cold run without the cache.
+  for (uint64_t Seed : {2u, 1u}) {
+    api::AnalysisSpec Spec = warmCaseSpec(GetParam(), Seed);
+    api::Analyzer WarmRun(Spec);
+    WarmRun.setWarmCache(&Warm);
+    Expected<api::Report> R = WarmRun.run();
+    ASSERT_TRUE(R.hasValue()) << R.error();
+    EXPECT_TRUE(WarmRun.lastRunWarm());
+    // It reused the prepare step, so reports none of its cost (and the
+    // "sites" mode shrinks no box).
+    if (R->Static.Ran)
+      EXPECT_EQ(R->Static.Seconds, 0.0);
+    Value AfterWarm = obs::snapshotJson();
+    // The warm request skipped resolve -> verify -> lower entirely.
+    EXPECT_EQ(counterIn(AfterWarm, "vm.module_lowerings"),
+              counterIn(AfterCold, "vm.module_lowerings"));
+    EXPECT_EQ(counterIn(AfterWarm, "analyzer.module_resolutions"),
+              counterIn(AfterCold, "analyzer.module_resolutions"));
 
-  // The warm request skipped resolve -> verify -> lower entirely.
-  EXPECT_EQ(counterIn(AfterWarm, "vm.module_lowerings"),
-            counterIn(AfterCold, "vm.module_lowerings"));
-  EXPECT_EQ(counterIn(AfterWarm, "analyzer.module_resolutions"),
-            counterIn(AfterCold, "analyzer.module_resolutions"));
-  EXPECT_GE(counterIn(AfterWarm, "analyzer.warm_hits"), 1u);
-
-  // And stayed bit-identical in the deterministic view.
-  EXPECT_EQ(api::deterministicReportJson(R1->toJson()).dump(),
-            api::deterministicReportJson(R2->toJson()).dump());
-
-  // A cold Analyzer without the cache agrees too.
-  Expected<api::Report> R3 = api::Analyzer::analyze(Spec);
-  ASSERT_TRUE(R3.hasValue()) << R3.error();
-  EXPECT_EQ(api::deterministicReportJson(R1->toJson()).dump(),
-            api::deterministicReportJson(R3->toJson()).dump());
+    Expected<api::Report> Cold = api::Analyzer::analyze(Spec);
+    ASSERT_TRUE(Cold.hasValue()) << Cold.error();
+    EXPECT_EQ(Det(*R), Det(*Cold)) << "seed " << Seed;
+    if (Seed == 1)
+      EXPECT_EQ(Det(*R), Det(*R1));
+    AfterCold = obs::snapshotJson();
+  }
+  EXPECT_EQ(Warm.size(), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    IrTasks, WarmRerunTest,
+    ::testing::Values(WarmCase{api::TaskKind::Boundary, "off"},
+                      WarmCase{api::TaskKind::Boundary, "sites"},
+                      WarmCase{api::TaskKind::Path, "off"},
+                      WarmCase{api::TaskKind::Path, "sites"},
+                      WarmCase{api::TaskKind::Coverage, "off"},
+                      WarmCase{api::TaskKind::Coverage, "sites"},
+                      WarmCase{api::TaskKind::Overflow, "off"},
+                      WarmCase{api::TaskKind::Overflow, "sites"},
+                      WarmCase{api::TaskKind::Inconsistency, "off"},
+                      WarmCase{api::TaskKind::Inconsistency, "sites"}),
+    [](const ::testing::TestParamInfo<WarmCase> &I) {
+      return std::string(api::taskKindName(I.param.Task)) + "_" +
+             I.param.Prune;
+    });
 
 TEST(WarmCacheTest, DifferentVolatileKnobsShareOneEntry) {
   ObsQuiesce Quiesce;
@@ -540,6 +653,23 @@ TEST(ServerHandleTest, RunExecutesCachesAndStaysDeterministic) {
   ASSERT_TRUE(Direct.hasValue());
   EXPECT_EQ(api::deterministicReportJson(*D1->find("report")).dump(),
             api::deterministicReportJson(Direct->toJson()).dump());
+}
+
+TEST(ServerHandleTest, AnalyzerErrorsAreSpecErrors) {
+  // Every Analyzer error is a spec error: `wdm run` exits 2 on these,
+  // so the daemon answers 400 (and `wdm submit` exits 2 too).
+  ObsQuiesce Quiesce;
+  Server S({});
+  for (const char *Body :
+       {R"({"task": "boundary", "module": {"builtin": "no_such_subject"}})",
+        R"({"task": "boundary", "module": {"ir": "func @f( {"}})",
+        R"({"task": "path", "module": {"builtin": "fig1a"},
+            "path": [{"branch": 9, "taken": true}]})"}) {
+    ParsedResponse R =
+        parseResponse(S.handle(makeReq("POST", "/v1/run", Body)));
+    EXPECT_EQ(R.Status, 400) << Body << "\n" << R.Body;
+    EXPECT_NE(R.Body.find("\"error\""), std::string::npos) << R.Body;
+  }
 }
 
 TEST(ServerHandleTest, MetricsEndpointServesPrometheus) {

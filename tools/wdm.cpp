@@ -118,8 +118,9 @@ int usage() {
          "memory only)\n"
          "  --cache-capacity=<n>       in-memory result entries (default "
          "256)\n"
-         "  --warm-capacity=<n>        warm module entries (default 64)\n"
-         "  --no-warm                  disable the warm execution cache\n"
+         "  --warm-capacity=<n>        warm entries: resolved modules "
+         "with prepared analyses\n"
+         "                             (default 64)\n"
          "  --state-dir=<dir>          suite job event logs (default: "
          "cache dir)\n"
          "  --shards=<n>               shards for POSTed suites (0 = "
@@ -803,8 +804,6 @@ int cmdServe(int Argc, char **Argv) {
       if (!Uint(Val, N))
         return fail("bad --warm-capacity");
       SO.WarmCapacity = static_cast<size_t>(N);
-    } else if (A == "--no-warm") {
-      SO.Warm = false;
     } else if (Key == "--state-dir") {
       SO.StateDir = Val;
     } else if (Key == "--shards") {
