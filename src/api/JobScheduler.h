@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes an expanded SuiteSpec three ways behind one interface:
+/// Executes an expanded SuiteSpec two ways behind one interface:
 ///
 ///  - `inprocess`  — a pool of Shards driver threads, each running jobs
 ///    through Analyzer::analyze (every job still owns its SearchEngine
@@ -13,7 +13,12 @@
 ///  - `subprocess` — a pool of Shards concurrent `wdm run-job` child
 ///    processes, one fork/exec per job: true process-level sharding,
 ///    crash-isolated so one aborting solve cannot kill the study.
-///  - `dry`        — expand and list, execute nothing.
+///
+/// The mode only picks how one attempt runs. A run is plan (expand,
+/// load the checkpoint, size the shard pool) → per job: attempt under
+/// one retry loop (retry, backoff, quarantine) → publish the terminal
+/// event → tally the SuiteReport. Listing a suite without running it is
+/// `wdm suite expand`.
 ///
 /// Results stream as they finish into an NDJSON event log
 /// (`suite_started` / `job_started` / `job_finished` with the full
@@ -48,10 +53,10 @@
 
 namespace wdm::api {
 
-enum class SuiteMode : uint8_t { InProcess, Subprocess, Dry };
+enum class SuiteMode : uint8_t { InProcess, Subprocess };
 
 const char *suiteModeName(SuiteMode M);
-/// Parses "inprocess" | "subprocess" | "dry"; false on unknown names.
+/// Parses "inprocess" | "subprocess"; false on unknown names.
 bool suiteModeByName(const std::string &Name, SuiteMode &Out);
 
 struct SuiteRunOptions {
@@ -115,6 +120,13 @@ struct SuiteRunOptions {
   /// run.
   std::atomic<bool> *StopFlag = nullptr;
 };
+
+/// Resume: marks every result whose Id has a `job_finished` record in
+/// \p EventLog (with job == spec_hash and a report that still parses)
+/// Skipped, with the stored Report, and returns how many it marked.
+/// Other events and records are ignored; a missing log marks nothing.
+unsigned loadCheckpoint(const std::string &EventLog,
+                        std::vector<JobResult> &Results);
 
 class JobScheduler {
 public:

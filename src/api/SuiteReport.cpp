@@ -6,6 +6,8 @@
 
 #include "api/SuiteReport.h"
 
+#include <array>
+
 using namespace wdm;
 using namespace wdm::api;
 using wdm::json::Value;
@@ -50,6 +52,36 @@ const char *JobResult::stateName() const {
   return "?";
 }
 
+void SuiteReport::tally() {
+  // Indexed by TaskKind, so PerTask comes out in canonical kind order
+  // whatever order the jobs finished in.
+  std::array<TaskStats, static_cast<size_t>(TaskKind::FpSat) + 1> ByKind;
+  for (const JobResult &JR : Results) {
+    Executed += JR.S == JobResult::State::Executed;
+    Skipped += JR.S == JobResult::State::Skipped;
+    Failed += JR.S == JobResult::State::Failed;
+    Quarantined += JR.S == JobResult::State::Quarantined;
+    Interrupted += JR.S == JobResult::State::Interrupted;
+    if (!JR.hasReport())
+      continue;
+    Succeeded += JR.R.Success;
+    Findings += JR.R.Findings.size();
+    Evals += JR.R.Evals;
+    JobSeconds += JR.R.Seconds;
+    TaskStats &T = ByKind[static_cast<size_t>(JR.Spec.Task)];
+    ++T.Jobs;
+    T.Succeeded += JR.R.Success;
+    T.Findings += JR.R.Findings.size();
+    T.Evals += JR.R.Evals;
+    T.Seconds += JR.R.Seconds;
+  }
+  for (size_t K = 0; K < ByKind.size(); ++K)
+    if (ByKind[K].Jobs) {
+      ByKind[K].Task = taskKindName(static_cast<TaskKind>(K));
+      PerTask.push_back(std::move(ByKind[K]));
+    }
+}
+
 int SuiteReport::exitCode() const {
   // "signal" (CLI SIGINT/SIGTERM) and "stopped" (an embedded driver's
   // StopFlag, e.g. the serve daemon draining) are both graceful
@@ -61,7 +93,7 @@ int SuiteReport::exitCode() const {
   return Findings ? 1 : 0;
 }
 
-json::Value SuiteReport::toJson() const {
+json::Value SuiteReport::toJson(bool WithResults) const {
   Value Doc = Value::object();
   if (!Suite.empty())
     Doc.set("suite", Value::string(Suite));
@@ -94,6 +126,8 @@ json::Value SuiteReport::toJson() const {
                    .set("evals", Value::number(T.Evals))
                    .set("seconds", Value::number(T.Seconds)));
   Doc.set("per_task", std::move(Tasks));
+  if (!WithResults)
+    return Doc;
 
   Value Rs = Value::array();
   for (const JobResult &J : Results) {

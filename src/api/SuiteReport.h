@@ -49,7 +49,7 @@ struct JobAttempt {
 /// One job's outcome within a suite run.
 struct JobResult {
   enum class State : uint8_t {
-    Listed,      ///< Dry run: expanded but not executed.
+    Listed,      ///< Expanded but not (yet) dispatched.
     Executed,    ///< Ran in this invocation.
     Skipped,     ///< Satisfied from the checkpoint log (--resume).
     Failed,      ///< Worker error (crashed shard, invalid module, ...).
@@ -76,7 +76,7 @@ struct JobResult {
 
 struct SuiteReport {
   std::string Suite;
-  std::string Mode; ///< "inprocess" | "subprocess" | "dry".
+  std::string Mode; ///< "inprocess" | "subprocess".
   unsigned Shards = 1;
 
   unsigned Jobs = 0;
@@ -112,6 +112,11 @@ struct SuiteReport {
   /// Per-job outcomes in expansion order.
   std::vector<JobResult> Results;
 
+  /// Fills the job counts, report sums and PerTask from Results;
+  /// Skipped reports count like Executed ones. Expects the counts still
+  /// zero (a run tallies once).
+  void tally();
+
   /// The shared wdm exit-code contract: 4 when the run was stopped by a
   /// signal (the log is a valid resume checkpoint), else 3 when any job
   /// failed or was quarantined, else 1 when any findings were produced,
@@ -119,8 +124,9 @@ struct SuiteReport {
   int exitCode() const;
 
   /// Aggregates + per-task stats + per-job summaries (not the full
-  /// per-job reports — the NDJSON event log carries those).
-  json::Value toJson() const;
+  /// per-job reports — the NDJSON event log carries those). The closing
+  /// event of a suite log leaves the per-job summaries out.
+  json::Value toJson(bool WithResults = true) const;
   std::string toJsonText() const;
 };
 

@@ -87,12 +87,6 @@ struct JobLimits {
   unsigned CpuLimitSec = 0;   ///< Child RLIMIT_CPU, sec (subprocess mode).
   unsigned MaxFailures = 0;   ///< Suite-wide fail-fast threshold.
 
-  /// True when any supervision beyond plain execution is requested.
-  bool any() const {
-    return TimeoutSec > 0 || StallTimeoutSec > 0 || Retries > 0 ||
-           MemLimitMb > 0 || CpuLimitSec > 0 || MaxFailures > 0;
-  }
-
   /// Strict parse of a `"limits"` object (null = all defaults). Unknown
   /// keys and negative values are errors.
   static Expected<JobLimits> fromJson(const json::Value &V);

@@ -7,13 +7,15 @@
 // graceful shutdown + resume) exercised against *real* forked `wdm
 // run-job` children dying in the way the WDM_FAULT harness tells them
 // to — no mocks. Subprocess tests drive the real `wdm` binary
-// (WDM_CLI_EXE, injected by CMake).
+// (WDM_CLI_EXE, injected by CMake). The attempt classifier that reads
+// how a child died is pure and tested here without a fork.
 //
 //===----------------------------------------------------------------------===//
 
 #include "api/JobScheduler.h"
 #include "api/SuiteReport.h"
 #include "api/SuiteSpec.h"
+#include "api/Worker.h"
 #include "support/FaultInject.h"
 #include "support/Json.h"
 
@@ -207,6 +209,132 @@ TEST(JobLimitsTest, ParseRoundTripAndPrecedence) {
                        "jobs": [{"task": "boundary",
                                  "module": {"builtin": "fig2"}}]})")
                    .hasValue());
+}
+
+//===----------------------------------------------------------------------===//
+// The attempt classifier (pure: no fork)
+//===----------------------------------------------------------------------===//
+
+WorkerRun exitedWith(int Code, const std::string &Out = "",
+                     const std::string &Err = "") {
+  WorkerRun W;
+  W.SpawnOk = true;
+  W.ExitCode = Code;
+  W.Out = Out;
+  W.Err = Err;
+  return W;
+}
+
+WorkerRun killedBy(int Sig, const std::string &Err = "") {
+  WorkerRun W = exitedWith(0, "", Err);
+  W.Signaled = true;
+  W.Signal = Sig;
+  return W;
+}
+
+TEST(ClassifyTest, SpawnFailureTimeoutAndStall) {
+  JobLimits L;
+  L.TimeoutSec = 5;
+  L.StallTimeoutSec = 3;
+  Report Out;
+  WorkerRun NoSpawn;
+  NoSpawn.SpawnError = "fork failed";
+  JobAttempt A = classify(NoSpawn, L, false, Out);
+  EXPECT_EQ(A.Outcome, "failed");
+  EXPECT_EQ(A.Error, "worker spawn: fork failed");
+
+  // Timeout wins over stall; the kill signal is still recorded.
+  WorkerRun Both = killedBy(SIGKILL);
+  Both.TimedOut = Both.Stalled = true;
+  A = classify(Both, L, false, Out);
+  EXPECT_EQ(A.Outcome, "timeout");
+  EXPECT_EQ(A.Error, "killed at 5s wall-clock deadline");
+  EXPECT_EQ(A.SignalName, "SIGKILL");
+  EXPECT_EQ(A.LimitHit, "");
+
+  WorkerRun Stalled = killedBy(SIGTERM);
+  Stalled.Stalled = true;
+  A = classify(Stalled, L, false, Out);
+  EXPECT_EQ(A.Outcome, "stalled");
+  EXPECT_EQ(A.Error, "no output or heartbeat for 3s");
+}
+
+TEST(ClassifyTest, ShutdownDeathsAreInterrupted) {
+  JobLimits L;
+  Report Out;
+  WorkerRun Canceled = exitedWith(0);
+  Canceled.Canceled = true;
+  EXPECT_EQ(classify(Canceled, L, false, Out).Outcome, "interrupted");
+  for (int Sig : {SIGTERM, SIGINT, SIGKILL}) {
+    JobAttempt A = classify(killedBy(Sig), L, /*Stopping=*/true, Out);
+    EXPECT_EQ(A.Outcome, "interrupted") << Sig;
+    EXPECT_EQ(A.Error, "suite shutdown");
+    // Without a stop request the same death is a plain failure.
+    EXPECT_EQ(classify(killedBy(Sig), L, false, Out).Outcome, "failed");
+  }
+  // A crash during shutdown is still a crash.
+  EXPECT_EQ(classify(killedBy(SIGSEGV), L, true, Out).Outcome, "failed");
+}
+
+TEST(ClassifyTest, ResourceLimitAttribution) {
+  JobLimits None, Cpu, Mem;
+  Cpu.CpuLimitSec = 1;
+  Mem.MemLimitMb = 64;
+  Report Out;
+
+  JobAttempt A = classify(killedBy(SIGXCPU), None, false, Out);
+  EXPECT_EQ(A.Outcome, "failed");
+  EXPECT_EQ(A.LimitHit, "cpu");
+  EXPECT_EQ(A.Error, "worker killed by SIGXCPU (cpu limit)");
+  // SIGKILL is the RLIMIT_CPU hard backstop only under a cpu limit.
+  EXPECT_EQ(classify(killedBy(SIGKILL), Cpu, false, Out).LimitHit, "cpu");
+  EXPECT_EQ(classify(killedBy(SIGKILL), None, false, Out).LimitHit, "");
+
+  A = classify(killedBy(SIGABRT), Mem, false, Out);
+  EXPECT_EQ(A.LimitHit, "mem");
+  EXPECT_EQ(A.Error, "worker killed by SIGABRT (mem limit)");
+  EXPECT_EQ(classify(killedBy(SIGSEGV, "std::bad_alloc"), Mem, false, Out)
+                .LimitHit,
+            "mem");
+  A = classify(killedBy(SIGABRT), None, false, Out);
+  EXPECT_EQ(A.LimitHit, "");
+  EXPECT_EQ(A.Error, "worker killed by SIGABRT");
+  EXPECT_EQ(A.Signal, SIGABRT);
+}
+
+TEST(ClassifyTest, ExitCodesAndTheReportLine) {
+  JobLimits L;
+  Report Out;
+  Out.Evals = 42;
+  JobAttempt A = classify(exitedWith(3, "", "  boom\nmore\n"), L, false, Out);
+  EXPECT_EQ(A.Outcome, "failed");
+  EXPECT_EQ(A.ExitCode, 3);
+  EXPECT_EQ(A.Error, "worker exit 3: boom");
+  EXPECT_EQ(A.StderrTail, "boom\nmore");
+  EXPECT_EQ(classify(exitedWith(2), L, false, Out).Error, "worker exit 2");
+
+  for (int Code : {0, 1}) {
+    A = classify(exitedWith(Code, "not a report"), L, false, Out);
+    EXPECT_EQ(A.Outcome, "failed");
+    EXPECT_EQ(A.ExitCode, Code);
+    EXPECT_EQ(A.Error.rfind("worker report: ", 0), 0u) << A.Error;
+  }
+  EXPECT_EQ(Out.Evals, 42u); // untouched by failed attempts
+
+  Report Child;
+  Child.Evals = 9;
+  A = classify(exitedWith(1, Child.toJson().dump() + "\n"), L, false, Out);
+  EXPECT_EQ(A.Outcome, "ok");
+  EXPECT_EQ(A.ExitCode, 1);
+  EXPECT_EQ(Out.Evals, 9u);
+}
+
+TEST(ClassifyTest, SignalNamesComeFromLibc) {
+  EXPECT_EQ(signalName(SIGKILL), "SIGKILL");
+  EXPECT_EQ(signalName(SIGUSR1), "SIGUSR1");
+  EXPECT_EQ(signalName(0), "signal 0");
+  EXPECT_EQ(signalName(SIGRTMIN + 1),
+            "signal " + std::to_string(SIGRTMIN + 1));
 }
 
 //===----------------------------------------------------------------------===//

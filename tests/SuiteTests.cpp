@@ -515,20 +515,6 @@ TEST(SchedulerTest, StopFlagDrainsLikeASignal) {
   EXPECT_EQ(R->exitCode(), 4); // Interrupted, by the shared contract.
 }
 
-TEST(SchedulerTest, DryModeExecutesNothing) {
-  SuiteRunOptions Opts;
-  Opts.Mode = SuiteMode::Dry;
-  Expected<SuiteReport> R =
-      JobScheduler::execute(smallMatrixSuite(), Opts);
-  ASSERT_TRUE(R.hasValue()) << R.error();
-  EXPECT_EQ(R->Jobs, 4u);
-  EXPECT_EQ(R->Executed, 0u);
-  EXPECT_EQ(R->Evals, 0u);
-  for (const JobResult &J : R->Results)
-    EXPECT_EQ(J.S, JobResult::State::Listed);
-  EXPECT_EQ(R->exitCode(), 0);
-}
-
 TEST(SchedulerTest, FailedJobIsIsolated) {
   SuiteSpec Suite;
   AnalysisSpec Good;
@@ -660,6 +646,127 @@ TEST(SchedulerTest, EventLogSchemaAndResume) {
 
   std::remove(LogPath.c_str());
   std::remove(Partial.c_str());
+}
+
+TEST(SchedulerTest, ResumeAfterCrashTruncatedLogStartsANewLine) {
+  // A crash can cut the log inside a record. The resumed session must
+  // start its events on a fresh line instead of gluing its
+  // suite_started onto the fragment.
+  std::string LogPath = tempPath("truncated.ndjson");
+  SuiteRunOptions Opts;
+  Opts.Shards = 1;
+  Opts.EventLog = LogPath;
+  ASSERT_TRUE(JobScheduler::execute(smallMatrixSuite(), Opts).hasValue());
+  std::string Text = readFileText(LogPath);
+  const std::string Finished = "\"event\": \"job_finished\"";
+  size_t Second = Text.find(Finished, Text.find(Finished) + 1);
+  ASSERT_NE(Second, std::string::npos);
+  size_t LineStart = Text.rfind('\n', Second) + 1;
+  size_t LineEnd = Text.find('\n', Second);
+  writeFile(LogPath, Text.substr(0, (LineStart + LineEnd) / 2));
+
+  SuiteRunOptions Resume = Opts;
+  Resume.Resume = true;
+  Expected<SuiteReport> R =
+      JobScheduler::execute(smallMatrixSuite(), Resume);
+  ASSERT_TRUE(R.hasValue()) << R.error();
+  EXPECT_EQ(R->Skipped, 1u);
+  EXPECT_EQ(R->Executed, 3u);
+
+  std::istringstream Lines(readFileText(LogPath));
+  std::string Line;
+  unsigned Unparseable = 0, SuiteStarts = 0;
+  while (std::getline(Lines, Line)) {
+    Expected<Value> Doc = Value::parse(Line);
+    if (!Doc) {
+      ++Unparseable;
+      continue;
+    }
+    SuiteStarts += Doc->find("event")->asString() == "suite_started";
+  }
+  EXPECT_EQ(Unparseable, 1u); // the fragment alone
+  EXPECT_EQ(SuiteStarts, 2u); // one per session
+  std::remove(LogPath.c_str());
+}
+
+TEST(CheckpointTest, KeepsOnlyParseableFinishedRecordsOfTheirOwnJob) {
+  Report Stored;
+  Stored.Evals = 7;
+  Value Good = Stored.toJson();
+  ASSERT_TRUE(Report::fromJson(Good).hasValue());
+  auto Record = [](const char *Kind, const char *Job, const char *Hash,
+                   const Value &Rep) {
+    return Value::object()
+               .set("event", Value::string(Kind))
+               .set("job", Value::string(Job))
+               .set("spec_hash", Value::string(Hash))
+               .set("report", Rep)
+               .dump() +
+           "\n";
+  };
+  std::string LogPath = tempPath("checkpoint.ndjson");
+  writeFile(LogPath,
+            Record("job_started", "a", "a", Good) +        // not finished
+                Record("job_finished", "b", "x", Good) +   // job != hash
+                Record("job_finished", "c", "c",           // stale report
+                       Value::string("not a report")) +
+                Record("job_finished", "d", "d", Good) +
+                Record("job_finished", "e", "e", Good) +   // not in suite
+                "{\"event\": \"job_fini");                  // cut by a crash
+
+  std::vector<JobResult> Results(4);
+  for (size_t I = 0; I < Results.size(); ++I)
+    Results[I].Id = std::string(1, static_cast<char>('a' + I));
+  EXPECT_EQ(loadCheckpoint(LogPath, Results), 1u);
+  for (const JobResult &JR : Results)
+    EXPECT_EQ(JR.S, JR.Id == "d" ? JobResult::State::Skipped
+                                 : JobResult::State::Listed)
+        << JR.Id;
+  EXPECT_EQ(Results[3].R.Evals, 7u);
+
+  EXPECT_EQ(loadCheckpoint(tempPath("no_such_log.ndjson"), Results), 0u);
+  std::remove(LogPath.c_str());
+}
+
+TEST(TallyTest, PerTaskInKindOrderAndSkippedCountsLikeExecuted) {
+  SuiteReport Rep;
+  auto Add = [&](TaskKind K, JobResult::State S, uint64_t Evals,
+                 bool Success) {
+    JobResult JR;
+    JR.Spec.Task = K;
+    JR.S = S;
+    JR.R.Evals = Evals;
+    JR.R.Success = Success;
+    if (Success)
+      JR.R.Findings.resize(1);
+    Rep.Results.push_back(std::move(JR));
+  };
+  // Finish order deliberately not kind order.
+  Add(TaskKind::Overflow, JobResult::State::Executed, 100, true);
+  Add(TaskKind::Boundary, JobResult::State::Skipped, 10, true);
+  Add(TaskKind::Path, JobResult::State::Failed, 0, false);
+  Add(TaskKind::Overflow, JobResult::State::Skipped, 200, false);
+  Add(TaskKind::Boundary, JobResult::State::Executed, 20, false);
+  Add(TaskKind::Coverage, JobResult::State::Interrupted, 0, false);
+  Rep.tally();
+
+  EXPECT_EQ(Rep.Executed, 2u);
+  EXPECT_EQ(Rep.Skipped, 2u);
+  EXPECT_EQ(Rep.Failed, 1u);
+  EXPECT_EQ(Rep.Interrupted, 1u);
+  EXPECT_EQ(Rep.Succeeded, 2u);
+  EXPECT_EQ(Rep.Findings, 2u);
+  EXPECT_EQ(Rep.Evals, 330u);
+  // Only tasks with a report appear, boundary before overflow.
+  ASSERT_EQ(Rep.PerTask.size(), 2u);
+  EXPECT_EQ(Rep.PerTask[0].Task, "boundary");
+  EXPECT_EQ(Rep.PerTask[0].Jobs, 2u);
+  EXPECT_EQ(Rep.PerTask[0].Succeeded, 1u);
+  EXPECT_EQ(Rep.PerTask[0].Evals, 30u);
+  EXPECT_EQ(Rep.PerTask[1].Task, "overflow");
+  EXPECT_EQ(Rep.PerTask[1].Jobs, 2u);
+  EXPECT_EQ(Rep.PerTask[1].Findings, 1u);
+  EXPECT_EQ(Rep.PerTask[1].Evals, 300u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -933,6 +1040,44 @@ TEST(ExitCodeTest, SuiteResumeIdempotenceThroughCli) {
   std::remove(LogPath.c_str());
   std::remove(OutPath.c_str());
 }
+
+#ifdef WDM_EXAMPLES_DIR
+TEST(SuiteCliTest, ExpandListsTheJobsThatRunFinishes) {
+  // `wdm suite expand` is the listing path: one parseable NDJSON line
+  // per job, with exactly the IDs a `suite run` of the same file logs.
+  const std::string Suite =
+      std::string(WDM_EXAMPLES_DIR) + "/specs/suite_gsl_smoke.json";
+  std::string ExpandOut = tempPath("expand.ndjson");
+  std::string LogPath = tempPath("expand_run.ndjson");
+  ASSERT_EQ(std::system((std::string(WDM_CLI_EXE) + " suite expand " +
+                         Suite + " > " + ExpandOut)
+                            .c_str()),
+            0);
+  std::set<std::string> Listed;
+  std::istringstream Lines(readFileText(ExpandOut));
+  std::string Line;
+  while (std::getline(Lines, Line)) {
+    Expected<Value> Doc = Value::parse(Line);
+    ASSERT_TRUE(Doc.hasValue()) << Line;
+    ASSERT_NE(Doc->find("job"), nullptr) << Line;
+    ASSERT_NE(Doc->find("spec"), nullptr) << Line;
+    EXPECT_TRUE(Listed.insert(Doc->find("job")->asString()).second);
+  }
+  EXPECT_EQ(Listed.size(), 3u);
+
+  EXPECT_EQ(runCli("suite run " + Suite + " --shards=2 --ndjson " + LogPath),
+            1);
+  auto Events = json::readNdjsonFile(LogPath);
+  ASSERT_TRUE(Events.hasValue()) << Events.error();
+  std::set<std::string> Finished;
+  for (const Value &Ev : *Events)
+    if (Ev.find("event")->asString() == "job_finished")
+      Finished.insert(Ev.find("job")->asString());
+  EXPECT_EQ(Finished, Listed);
+  std::remove(ExpandOut.c_str());
+  std::remove(LogPath.c_str());
+}
+#endif // WDM_EXAMPLES_DIR
 
 #endif // WDM_CLI_EXE
 

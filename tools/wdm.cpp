@@ -129,8 +129,8 @@ int usage() {
          "suite options:\n"
          "  --shards=<n>               concurrent jobs (0 = one per "
          "hardware thread)\n"
-         "  --mode=<m>                 inprocess (default) | subprocess "
-         "| dry\n"
+         "  --mode=<m>                 inprocess (default) | "
+         "subprocess\n"
          "  --ndjson <log.ndjson>      stream events (doubles as the "
          "checkpoint)\n"
          "  --resume                   skip jobs already finished in "
@@ -357,8 +357,7 @@ int cmdTasks(int Argc, char **Argv) {
                      .set("available", Value::boolean(jit::available())));
     Doc.set("engines", std::move(Engines));
     Value Modes = Value::array();
-    for (SuiteMode M :
-         {SuiteMode::InProcess, SuiteMode::Subprocess, SuiteMode::Dry})
+    for (SuiteMode M : {SuiteMode::InProcess, SuiteMode::Subprocess})
       Modes.push(Value::string(suiteModeName(M)));
     Doc.set("suite_modes", std::move(Modes));
     Value Builtins = Value::array();
@@ -628,7 +627,7 @@ int cmdSuite(int Argc, char **Argv) {
     } else if (Key == "--mode") {
       if (!suiteModeByName(Val, Opts.Mode))
         return fail("unknown mode '" + Val +
-                    "' (expected inprocess|subprocess|dry)");
+                    "' (expected inprocess|subprocess)");
     } else if (A == "--resume") {
       Opts.Resume = true;
     } else if (A == "--ndjson") {
@@ -737,19 +736,7 @@ int cmdSuite(int Argc, char **Argv) {
   if (!R)
     return Obs.end(fail(R.error()));
 
-  bool Dry = R->Mode == suiteModeName(SuiteMode::Dry);
-  if (Dry) {
-    for (const JobResult &J : R->Results)
-      std::cout << J.Id << "  " << taskKindName(J.Spec.Task) << "  "
-                << subjectText(J.Spec)
-                << (J.Spec.Search.Seed
-                        ? "  seed=" + std::to_string(*J.Spec.Search.Seed)
-                        : "")
-                << "\n";
-    std::cout << "jobs:      " << R->Jobs << " (dry run)\n";
-  } else {
-    printSuiteReport(*R);
-  }
+  printSuiteReport(*R);
   if (!JsonOut.empty()) {
     std::ofstream Out(JsonOut);
     if (!Out) {
@@ -759,7 +746,7 @@ int cmdSuite(int Argc, char **Argv) {
     Out << R->toJsonText();
     std::cout << "report:    " << JsonOut << "\n";
   }
-  return Obs.end(Dry ? 0 : R->exitCode());
+  return Obs.end(R->exitCode());
 }
 
 int cmdServe(int Argc, char **Argv) {
